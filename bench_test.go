@@ -38,7 +38,7 @@ func benchParams() workload.Params {
 
 func sharedRunner(b *testing.B) *exp.Runner {
 	runnerOnce.Do(func() {
-		runner = exp.NewRunner(benchParams())
+		runner = exp.NewRunner(benchParams(), 0, 0)
 		runner.Prefetch(exp.SuiteAliases(),
 			[]gpusim.Technique{gpusim.Baseline, gpusim.RE, gpusim.TE, gpusim.Memo})
 	})

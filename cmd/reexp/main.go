@@ -73,7 +73,7 @@ func run(args []string) error {
 	}
 
 	p := workload.Params{Width: *width, Height: *height, Frames: *frames, Seed: *seed}
-	r := exp.NewRunnerTileWorkers(p, *workers, *tileWorkers)
+	r := exp.NewRunner(p, *workers, *tileWorkers)
 	var tracer *obs.Tracer
 	if *tracefile != "" {
 		tracer = obs.NewTracer()

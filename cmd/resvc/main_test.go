@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"rendelim/internal/apihttp"
 )
 
 // End-to-end over a real loopback listener: start the daemon, submit the
@@ -33,7 +35,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Health must respond before any job.
-	resp, err := http.Get(base + "/healthz")
+	resp, err := http.Get(base + apihttp.PathHealthz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	body := `{"alias": "ccs", "tech": "re", "width": 96, "height": 64, "frames": 2}`
 	post := func() map[string]any {
-		resp, err := http.Post(base+"/jobs?wait=1", "application/json", strings.NewReader(body))
+		resp, err := http.Post(base+apihttp.PathJobs+"?wait=1", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +66,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Errorf("second submission not eliminated: %+v", second)
 	}
 
-	mresp, err := http.Get(base + "/metrics")
+	mresp, err := http.Get(base + apihttp.PathMetrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestDaemonDataDirSurvivesRestart(t *testing.T) {
 	}
 	post := func(base string) map[string]any {
 		t.Helper()
-		resp, err := http.Post(base+"/jobs?wait=1", "application/json", strings.NewReader(body))
+		resp, err := http.Post(base+apihttp.PathJobs+"?wait=1", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +150,7 @@ func TestDaemonDataDirSurvivesRestart(t *testing.T) {
 	if again["deduped"] != true {
 		t.Fatalf("restarted daemon did not eliminate the recovered job: %+v", again)
 	}
-	mresp, err := http.Get(base + "/metrics")
+	mresp, err := http.Get(base + apihttp.PathMetrics)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ var (
 const ForwardHeader = "X-Resvc-Forwarded"
 
 // Reply is the owner's verbatim answer to a forwarded request: the HTTP
-// status, the response body (a server.JobResponse in JSON), and the
+// status, the response body (an apihttp.JobResponse in JSON), and the
 // Retry-After hint if the owner sent one. The body is relayed untouched
 // except for routing fields, so a result is byte-identical no matter which
 // node the client happened to reach.
@@ -52,7 +52,7 @@ type Reply struct {
 	Owner      string
 }
 
-// ForwardSubmit proxies one POST /jobs to the owner. body and contentType
+// ForwardSubmit proxies one POST /v1/jobs to the owner. body and contentType
 // are the client's original payload; query is relayed so ?wait and ?tech
 // survive the hop. key is the job signature being routed — it rides into
 // error wrap messages (satisfying "which key failed against which peer")

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rendelim/internal/apihttp"
 	"rendelim/internal/jobs"
 	"rendelim/internal/obs"
 )
@@ -35,30 +36,19 @@ type Options struct {
 	// matter (the ring sorts); duplicates and Self are rejected.
 	Peers []string
 
-	// Replicas is the virtual-node count per member; default 128.
-	Replicas int
-
-	// HealthInterval is the gap between /healthz probes of each peer;
-	// default 2s. HealthTimeout bounds one probe; default 1s.
+	// HealthInterval is the gap between health probes of each peer;
+	// default 2s.
 	HealthInterval time.Duration
-	HealthTimeout  time.Duration
 
 	// ResultTTL bounds how long a non-owner serves a completed result it
 	// fetched from the owner without re-asking (the read-through cache).
 	// Default 30s; 0 selects the default, negative disables read-through.
 	ResultTTL time.Duration
 
-	// ReadThroughSize caps the read-through cache entries; default 256.
-	ReadThroughSize int
-
 	// ForwardTimeout bounds one forwarded submit/status round trip,
 	// *excluding* any ?wait deadline the client asked for (the owner holds
 	// the request while the job runs). Default 15 minutes.
 	ForwardTimeout time.Duration
-
-	// Client issues forwarded requests and health probes; default: a
-	// dedicated client with sane connection pooling.
-	Client *http.Client
 
 	// Logger receives membership transitions; default slog.Default.
 	Logger *slog.Logger
@@ -72,6 +62,13 @@ type Options struct {
 	// /debug/events flight recorder. Nil-safe throughout.
 	Journal *obs.Journal
 }
+
+const (
+	// healthTimeout bounds one health probe.
+	healthTimeout = time.Second
+	// readThroughSize caps the read-through cache entries.
+	readThroughSize = 256
+)
 
 // peerState is one peer's health record.
 type peerState struct {
@@ -94,7 +91,6 @@ type Cluster struct {
 	journal *obs.Journal
 
 	healthInterval time.Duration
-	healthTimeout  time.Duration
 	forwardTimeout time.Duration
 
 	stopOnce sync.Once
@@ -159,9 +155,6 @@ func New(opts Options) (*Cluster, error) {
 	if opts.HealthInterval <= 0 {
 		opts.HealthInterval = 2 * time.Second
 	}
-	if opts.HealthTimeout <= 0 {
-		opts.HealthTimeout = time.Second
-	}
 	if opts.ForwardTimeout <= 0 {
 		opts.ForwardTimeout = 15 * time.Minute
 	}
@@ -169,36 +162,31 @@ func New(opts Options) (*Cluster, error) {
 	if ttl == 0 {
 		ttl = 30 * time.Second
 	}
-	if opts.ReadThroughSize <= 0 {
-		opts.ReadThroughSize = 256
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
+	// One dedicated client issues forwarded requests and health probes.
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: 16,
+		IdleConnTimeout:     90 * time.Second,
+	}}
 	c := &Cluster{
 		self:           self,
-		ring:           newRing(append([]string{self}, peers...), opts.Replicas),
+		ring:           newRing(append([]string{self}, peers...), defaultReplicas),
 		peers:          make(map[string]*peerState, len(peers)),
-		client:         opts.Client,
+		client:         client,
 		log:            opts.Logger,
 		metrics:        newMetrics(),
 		tracer:         opts.Tracer,
 		spans:          obs.NewSpanPool(opts.Tracer, "cluster-hop"),
 		journal:        opts.Journal,
 		healthInterval: opts.HealthInterval,
-		healthTimeout:  opts.HealthTimeout,
 		forwardTimeout: opts.ForwardTimeout,
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
 	}
 	if ttl > 0 {
-		c.rt = newReadThrough(opts.ReadThroughSize, ttl)
+		c.rt = newReadThrough(readThroughSize, ttl)
 	}
 	for _, p := range peers {
 		ps := &peerState{addr: p}
@@ -309,7 +297,7 @@ func (c *Cluster) Stop() {
 }
 
 // checkAll probes every peer concurrently (one slow peer must not delay the
-// verdict on the others past HealthTimeout).
+// verdict on the others past healthTimeout).
 func (c *Cluster) checkAll() {
 	var wg sync.WaitGroup
 	for _, ps := range c.peers {
@@ -332,14 +320,14 @@ func (c *Cluster) checkAll() {
 	c.metrics.HealthChecks.Add(1)
 }
 
-// probe reports whether one peer is routable: /healthz answering 200. A 503
+// probe reports whether one peer is routable: /v1/healthz answering 200. A 503
 // — which is what a draining peer reports — counts as down, so a drain
 // rebalances that peer's key range onto its ring successors before its
 // listener ever closes.
 func (c *Cluster) probe(addr string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), c.healthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/healthz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+apihttp.PathHealthz, nil)
 	if err != nil {
 		return false
 	}

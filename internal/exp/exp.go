@@ -7,7 +7,6 @@ package exp
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"rendelim/internal/gpusim"
@@ -28,30 +27,16 @@ type Runner struct {
 	tracer *obs.Tracer
 }
 
-// NewRunner builds a runner at the given workload scale with one worker per
-// CPU.
-func NewRunner(p workload.Params) *Runner {
-	return NewRunnerWorkers(p, runtime.GOMAXPROCS(0))
-}
-
-// NewRunnerWorkers bounds the concurrent simulations to workers.
-func NewRunnerWorkers(p workload.Params, workers int) *Runner {
-	return NewRunnerTileWorkers(p, workers, 0)
-}
-
-// NewRunnerTileWorkers additionally sets each simulation's raster-phase
-// parallelism (gpusim.Config.TileWorkers semantics). With workers <= 0 the
-// pool sizes itself to GOMAXPROCS divided by the tile-worker count, so the
-// two pools compose without oversubscribing the host.
-func NewRunnerTileWorkers(p workload.Params, workers, tileWorkers int) *Runner {
+// NewRunner builds a runner at the given workload scale. workers bounds
+// the concurrent simulations and tileWorkers sets each simulation's
+// raster-phase parallelism (gpusim.Config.TileWorkers semantics); with
+// workers <= 0 the pool sizes itself to GOMAXPROCS divided by the
+// tile-worker count, so the two pools compose without oversubscribing the
+// host.
+func NewRunner(p workload.Params, workers, tileWorkers int) *Runner {
 	// Every (benchmark, technique, variant) of a full reproduction must stay
 	// cached, so size the LRU far above the ~200 runs reexp performs.
 	pool := jobs.NewPool(jobs.WithWorkers(workers), jobs.WithCacheSize(4096), jobs.WithTileWorkers(tileWorkers))
-	return NewRunnerPool(p, pool)
-}
-
-// NewRunnerPool builds a runner on an existing pool (shared with a service).
-func NewRunnerPool(p workload.Params, pool *jobs.Pool) *Runner {
 	return &Runner{Params: p, pool: pool}
 }
 

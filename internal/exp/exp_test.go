@@ -14,7 +14,7 @@ import (
 // scale (small screen, few frames), which is what a reproduction must
 // preserve even when absolute numbers differ.
 
-var testRunner = NewRunner(workload.Params{Width: 256, Height: 160, Frames: 12, Seed: 1})
+var testRunner = NewRunner(workload.Params{Width: 256, Height: 160, Frames: 12, Seed: 1}, 0, 0)
 
 func value(t *testing.T, tb *stats.Table, row string, col int) float64 {
 	t.Helper()
@@ -44,7 +44,7 @@ func TestSuiteAliasesOrder(t *testing.T) {
 }
 
 func TestResultCaching(t *testing.T) {
-	r := NewRunner(workload.Params{Width: 96, Height: 64, Frames: 4, Seed: 1})
+	r := NewRunner(workload.Params{Width: 96, Height: 64, Frames: 4, Seed: 1}, 0, 0)
 	a := r.Result("ccs", gpusim.Baseline)
 	b := r.Result("ccs", gpusim.Baseline)
 	if a.Total.TotalCycles() != b.Total.TotalCycles() {
@@ -246,7 +246,7 @@ func TestFig01Shape(t *testing.T) {
 }
 
 func TestAblationTablesNonEmpty(t *testing.T) {
-	small := NewRunner(workload.Params{Width: 128, Height: 96, Frames: 6, Seed: 1})
+	small := NewRunner(workload.Params{Width: 128, Height: 96, Frames: 6, Seed: 1}, 0, 0)
 	for _, tb := range []*stats.Table{
 		small.OTQueueAblation(),
 		small.MemoLUTAblation(),

@@ -12,7 +12,7 @@ import (
 // must keep every benchmark in its Figure 2 class.
 func TestSeedRobustness(t *testing.T) {
 	for _, seed := range []int64{2, 7} {
-		r := NewRunner(workload.Params{Width: 192, Height: 128, Frames: 10, Seed: seed})
+		r := NewRunner(workload.Params{Width: 192, Height: 128, Frames: 10, Seed: seed}, 0, 0)
 		high := r.Result("cde", gpusim.Baseline).Total.EqualColorFraction()
 		if high < 0.8 {
 			t.Errorf("seed %d: cde equal fraction %.2f, want > 0.8", seed, high)

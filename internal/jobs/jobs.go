@@ -10,7 +10,6 @@
 package jobs
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -29,8 +28,6 @@ import (
 	"rendelim/internal/gpusim"
 	"rendelim/internal/obs"
 	"rendelim/internal/rerr"
-	"rendelim/internal/store"
-	"rendelim/internal/trace"
 	"rendelim/internal/workload"
 )
 
@@ -178,7 +175,8 @@ type Job struct {
 	// resume carries checkpoint state across retry attempts and worker
 	// panics, so recovery continues from the last completed frame instead
 	// of recomputing from frame 0. Owned by the single worker executing
-	// the job (workers never share an in-flight job).
+	// the job (workers never share an in-flight job); nil once the job is
+	// terminal.
 	resume *resume
 	// walled is set once the job's submitted record reached the durable
 	// WAL; only walled jobs append further lifecycle records. Written
@@ -253,81 +251,13 @@ func (j *Job) Cancel() {
 // pool metrics; implementations may ignore it.
 type RunFunc func(ctx context.Context, spec Spec, observe func(stage string, d time.Duration)) (gpusim.Result, error)
 
-// Options configures a Pool. Zero values select the documented defaults.
-type Options struct {
-	Workers    int           // concurrent simulations; default GOMAXPROCS/TileWorkers
-	QueueDepth int           // Submit blocks past this many waiting jobs; default 1024
-	CacheSize  int           // LRU result entries; default 512
-	Timeout    time.Duration // per-attempt deadline; 0 = none
-	Retries    int           // transient-failure/timeout retries; default 0
-	Backoff    time.Duration // initial retry backoff (doubles); default 50ms
-	Run        RunFunc       // job executor; default: built-in resumable runner
-	Logger     *slog.Logger  // structured job-lifecycle logs; default slog.Default
-
-	// CheckpointInterval makes the built-in runner snapshot the simulator
-	// every n completed frames, so a retried attempt (transient failure,
-	// panic, or per-attempt timeout) resumes from the last checkpoint
-	// instead of frame 0. 0 disables checkpointing. Ignored when a custom
-	// Run is set.
-	CheckpointInterval int
-
-	// Fault, when non-nil, injects deterministic faults at the pool's
-	// sites (fault.SiteWorker before each attempt, fault.SiteTraceDecode
-	// before decoding uploads) and is threaded into each simulation's
-	// config (dram.read / dram.write). Nil costs nothing.
-	Fault *fault.Plan
-
-	// BreakerThreshold opens a per-benchmark circuit breaker after this
-	// many consecutive non-transient terminal failures; submissions for
-	// that benchmark are rejected with ErrBreakerOpen until
-	// BreakerCooldown passes, then a half-open trial admits one. 0 selects
-	// the default (5); negative disables the breaker.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration // default 30s
-
-	// Journal, when non-nil, receives notable job-lifecycle events
-	// (accepted, eliminated, shed, panicked, breaker transitions) for the
-	// /debug/events flight recorder. Nil costs nothing.
-	Journal *obs.Journal
-
-	// Store, when non-nil, makes job state durable: leader submissions,
-	// starts, frame-boundary checkpoints, completions and terminal failures
-	// are WAL-logged and snapshotted, and at construction the pool replays
-	// the store's recovery set — completed results re-enter the cache and
-	// interrupted jobs are resubmitted from their last checkpoint. Nil (the
-	// default) keeps the pool memory-only. The caller owns the store's
-	// lifecycle and must close it after the pool.
-	Store *store.Store
-
-	// TileWorkers sets each simulation's raster-phase parallelism (see
-	// gpusim.Config.TileWorkers): 0 or 1 renders serially, n > 1 uses n
-	// goroutines per running job, negative uses one per host CPU. When
-	// Workers is left zero it defaults to GOMAXPROCS divided by the
-	// effective tile-worker count, so the job pool and the per-job tile
-	// pools compose without oversubscribing the host. Results never depend
-	// on this knob, so it is excluded from job signatures.
-	TileWorkers int
-}
-
-// effectiveTileWorkers resolves the TileWorkers option the way gpusim does.
-func (o Options) effectiveTileWorkers() int {
-	tw := o.TileWorkers
-	if tw < 0 {
-		tw = runtime.GOMAXPROCS(0)
-	}
-	if tw < 1 {
-		tw = 1
-	}
-	return tw
-}
-
 // Pool is the bounded scheduler: a FIFO queue drained by Workers goroutines,
 // fronted by the signature cache and singleflight dedup.
 type Pool struct {
-	opts    Options
+	opts    options
 	metrics *Metrics
 	log     *slog.Logger
-	journal *obs.Journal // nil-safe; see Options.Journal
+	journal *obs.Journal // nil-safe; see WithJournal
 
 	queue    chan *Job
 	draining chan struct{} // closed when Close or Kill begins; aborts retry backoffs
@@ -351,12 +281,14 @@ type Pool struct {
 // registryLimit bounds how many finished jobs stay addressable by ID.
 const registryLimit = 4096
 
-// New builds a pool and starts its workers.
-//
-// Deprecated: use NewPool with functional options (WithWorkers,
-// WithTileWorkers, WithCheckpointInterval, ...). New remains as a one-call
-// compatibility shim and builds an identical pool.
-func New(opts Options) *Pool {
+// NewPool builds a pool from functional options and starts its workers.
+func NewPool(opt ...Option) *Pool {
+	var opts options
+	for _, fn := range opt {
+		if fn != nil {
+			fn(&opts)
+		}
+	}
 	if opts.Workers <= 0 {
 		// Share the host between the job pool and each job's tile workers:
 		// Workers * TileWorkers ≈ GOMAXPROCS.
@@ -721,6 +653,7 @@ func (p *Pool) finishFailed(j *Job, err error) {
 	}
 	p.metrics.Failed.Add(1)
 	p.persistFailure(j, err)
+	j.resume = nil
 	j.call.finish(gpusim.Result{}, err)
 	if j.call.cancel != nil {
 		j.call.cancel()
@@ -737,6 +670,9 @@ func (p *Pool) execute(j *Job) {
 
 	start := time.Now()
 	res, err := p.runWithRetry(j.call.ctx, j)
+	// The checkpoint (over a megabyte at default scale) would otherwise stay
+	// reachable from the registry for as long as the finished job does.
+	j.resume = nil
 
 	p.mu.Lock()
 	if err == nil {
@@ -839,63 +775,6 @@ func (p *Pool) runOnce(ctx context.Context, j *Job, observe func(string, time.Du
 		return p.opts.Run(ctx, j.spec, observe)
 	}
 	return p.runResumable(ctx, j, observe)
-}
-
-// DefaultRun builds the trace (decode upload, custom builder, or suite
-// alias), then simulates with cancellation honored at frame boundaries, so
-// timeouts and cancellation interrupt long runs. Simulations render
-// serially; RunWithTileWorkers parallelizes them.
-func DefaultRun(ctx context.Context, spec Spec, observe func(stage string, d time.Duration)) (gpusim.Result, error) {
-	return runSpec(ctx, spec, observe, 0)
-}
-
-// RunWithTileWorkers returns a RunFunc like DefaultRun whose simulations
-// render tiles on the given number of goroutines (gpusim.Config.TileWorkers
-// semantics). Results are byte-identical at any worker count.
-func RunWithTileWorkers(tileWorkers int) RunFunc {
-	return func(ctx context.Context, spec Spec, observe func(stage string, d time.Duration)) (gpusim.Result, error) {
-		return runSpec(ctx, spec, observe, tileWorkers)
-	}
-}
-
-func runSpec(ctx context.Context, spec Spec, observe func(stage string, d time.Duration), tileWorkers int) (gpusim.Result, error) {
-	buildStart := time.Now()
-	var tr *api.Trace
-	switch {
-	case len(spec.TraceBin) > 0:
-		var err error
-		tr, err = trace.Decode(bytes.NewReader(spec.TraceBin))
-		if err != nil {
-			return gpusim.Result{}, fmt.Errorf("jobs: %w", err)
-		}
-	case spec.Build != nil:
-		tr = spec.Build(spec.Params)
-	default:
-		b, err := workload.ByAlias(spec.Alias)
-		if err != nil {
-			return gpusim.Result{}, err
-		}
-		tr = b.Build(spec.Params)
-	}
-	cfg := gpusim.DefaultConfig()
-	cfg.Technique = spec.Tech
-	cfg.TileWorkers = tileWorkers
-	if spec.Mutate != nil {
-		spec.Mutate(&cfg)
-	}
-	sim, err := gpusim.New(tr, cfg)
-	if err != nil {
-		return gpusim.Result{}, err
-	}
-	observe(StageBuild, time.Since(buildStart))
-
-	simStart := time.Now()
-	res, err := sim.RunContext(ctx)
-	if err != nil {
-		return gpusim.Result{}, err
-	}
-	observe(StageSimulate, time.Since(simStart))
-	return res, nil
 }
 
 // ResultSummary is the JSON-friendly digest of a run the service returns —

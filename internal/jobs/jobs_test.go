@@ -73,7 +73,7 @@ func TestKeyDiscriminates(t *testing.T) {
 // one leader simulates, every other submission joins it (singleflight).
 func TestDedupConcurrentSubmissions(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 4, Run: fakeRun(&runs, 30*time.Millisecond)})
+	p := NewPool(WithWorkers(4), WithRun(fakeRun(&runs, 30*time.Millisecond)))
 	defer p.Close(context.Background())
 
 	const n = 16
@@ -127,7 +127,7 @@ func TestDedupConcurrentSubmissions(t *testing.T) {
 // result cache.
 func TestCacheHitAfterCompletion(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 2, Run: fakeRun(&runs, 0)})
+	p := NewPool(WithWorkers(2), WithRun(fakeRun(&runs, 0)))
 	defer p.Close(context.Background())
 
 	j1, err := p.Submit(spec("cde"))
@@ -166,7 +166,7 @@ func TestCacheHitAfterCompletion(t *testing.T) {
 
 func TestTimeoutFires(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 1, Timeout: 20 * time.Millisecond, Run: fakeRun(&runs, 5*time.Second)})
+	p := NewPool(WithWorkers(1), WithTimeout(20*time.Millisecond), WithRun(fakeRun(&runs, 5*time.Second)))
 	defer p.Close(context.Background())
 
 	j, err := p.Submit(spec("mst"))
@@ -194,7 +194,7 @@ func TestTimeoutFires(t *testing.T) {
 
 func TestCancel(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 1, Run: fakeRun(&runs, 5*time.Second)})
+	p := NewPool(WithWorkers(1), WithRun(fakeRun(&runs, 5*time.Second)))
 	defer p.Close(context.Background())
 
 	j, err := p.Submit(spec("ter"))
@@ -216,7 +216,7 @@ func TestRetryThenSucceed(t *testing.T) {
 		}
 		return gpusim.Result{Name: spec.Alias}, nil
 	}
-	p := New(Options{Workers: 1, Retries: 3, Backoff: time.Millisecond, Run: run})
+	p := NewPool(WithWorkers(1), WithRetries(3), WithBackoff(time.Millisecond), WithRun(run))
 	defer p.Close(context.Background())
 
 	j, err := p.Submit(spec("abi"))
@@ -245,7 +245,7 @@ func TestPermanentFailureNoRetry(t *testing.T) {
 		attempts.Add(1)
 		return gpusim.Result{}, fmt.Errorf("bad trace")
 	}
-	p := New(Options{Workers: 1, Retries: 3, Backoff: time.Millisecond, Run: run})
+	p := NewPool(WithWorkers(1), WithRetries(3), WithBackoff(time.Millisecond), WithRun(run))
 	defer p.Close(context.Background())
 
 	j, _ := p.Submit(spec("tib"))
@@ -267,7 +267,7 @@ func TestPanicContained(t *testing.T) {
 		}
 		return gpusim.Result{Name: spec.Alias}, nil
 	}
-	p := New(Options{Workers: 1, Run: run})
+	p := NewPool(WithWorkers(1), WithRun(run))
 	defer p.Close(context.Background())
 
 	j1, _ := p.Submit(spec("hop"))
@@ -284,7 +284,7 @@ func TestPanicContained(t *testing.T) {
 // submissions are rejected.
 func TestGracefulDrain(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 2, Run: fakeRun(&runs, 20*time.Millisecond)})
+	p := NewPool(WithWorkers(2), WithRun(fakeRun(&runs, 20*time.Millisecond)))
 
 	var jobs []*Job
 	for i := 0; i < 8; i++ {
@@ -316,7 +316,7 @@ func TestGracefulDrain(t *testing.T) {
 // An expired drain deadline cancels outstanding jobs instead of hanging.
 func TestDrainDeadline(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 1, Run: fakeRun(&runs, 10*time.Second)})
+	p := NewPool(WithWorkers(1), WithRun(fakeRun(&runs, 10*time.Second)))
 	j, err := p.Submit(spec("slow"))
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestDrainDeadline(t *testing.T) {
 
 func TestGetRegistry(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 1, Run: fakeRun(&runs, 0)})
+	p := NewPool(WithWorkers(1), WithRun(fakeRun(&runs, 0)))
 	defer p.Close(context.Background())
 
 	j, _ := p.Submit(spec("ccs"))
@@ -371,7 +371,7 @@ func TestLRUEviction(t *testing.T) {
 
 func TestMetricsPrometheusFormat(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 1, Run: fakeRun(&runs, 0)})
+	p := NewPool(WithWorkers(1), WithRun(fakeRun(&runs, 0)))
 	defer p.Close(context.Background())
 	j, _ := p.Submit(spec("ccs"))
 	j.Wait(context.Background())
@@ -410,7 +410,7 @@ func TestSingleflightInflightGauge(t *testing.T) {
 			return gpusim.Result{}, ctx.Err()
 		}
 	}
-	p := New(Options{Workers: 1, Run: run})
+	p := NewPool(WithWorkers(1), WithRun(run))
 	defer p.Close(context.Background())
 
 	if got := p.Metrics().InflightKeys(); got != 0 {
@@ -443,7 +443,7 @@ func TestDefaultRunRealWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
-	p := New(Options{Workers: 2})
+	p := NewPool(WithWorkers(2))
 	defer p.Close(context.Background())
 
 	s := Spec{Alias: "ccs", Params: workload.Params{Width: 96, Height: 64, Frames: 3, Seed: 1}, Tech: gpusim.RE}
@@ -461,6 +461,29 @@ func TestDefaultRunRealWorkload(t *testing.T) {
 	sum := Summarize(res)
 	if sum.Technique != "re" || sum.Frames != 3 || sum.Cycles == 0 {
 		t.Errorf("bad summary: %+v", sum)
+	}
+}
+
+// TestFinishedJobDropsCheckpoint: a job's frame-boundary checkpoint exists
+// only to resume a retried attempt, so a finished job — which stays
+// addressable in the registry — must not keep it alive.
+func TestFinishedJobDropsCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation in -short mode")
+	}
+	p := NewPool(WithWorkers(1), WithCheckpointInterval(1))
+	defer p.Close(context.Background())
+
+	s := Spec{Alias: "ccs", Params: workload.Params{Width: 96, Height: 64, Frames: 3, Seed: 1}, Tech: gpusim.RE}
+	j, err := p.Submit(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if j.resume != nil {
+		t.Errorf("finished job still holds a checkpoint at frame %d", j.resume.cp.Frame())
 	}
 }
 

@@ -14,19 +14,73 @@ import (
 	"rendelim/internal/workload"
 )
 
-// runResumable is the pool's built-in executor: like DefaultRun it builds
-// the trace and simulates with cancellation honored at frame boundaries, but
-// it also threads the pool's fault plan into the simulation and — when
-// Options.CheckpointInterval > 0 — snapshots the simulator at frame
-// boundaries into the job. A later attempt of the same job (after a
-// transient failure, a contained or worker-level panic, or a per-attempt
-// timeout) resumes from the last checkpoint instead of frame 0, so the total
-// frames simulated across all attempts stays close to the trace length.
-func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, time.Duration)) (gpusim.Result, error) {
+// DefaultRun builds the trace (decode upload, custom builder, or suite
+// alias), then simulates serially with cancellation honored at frame
+// boundaries, so timeouts and cancellation interrupt long runs. It is the
+// reference the pool's built-in runner must match.
+func DefaultRun(ctx context.Context, spec Spec, observe func(stage string, d time.Duration)) (gpusim.Result, error) {
 	buildStart := time.Now()
+	tr, cfg, err := buildInputs(spec, 0, nil)
+	if err != nil {
+		return gpusim.Result{}, err
+	}
+	sim, err := gpusim.New(tr, cfg)
+	if err != nil {
+		return gpusim.Result{}, err
+	}
+	observe(StageBuild, time.Since(buildStart))
+
+	simStart := time.Now()
+	res, err := sim.RunContext(ctx)
+	if err != nil {
+		return gpusim.Result{}, err
+	}
+	observe(StageSimulate, time.Since(simStart))
+	return res, nil
+}
+
+// buildInputs resolves a spec's trace (decoded upload, custom builder, or
+// suite alias) and its simulation config. tileWorkers and plan are host-side
+// settings that never change results, so they stay out of the job signature.
+func buildInputs(spec Spec, tileWorkers int, plan *fault.Plan) (*api.Trace, gpusim.Config, error) {
 	var tr *api.Trace
 	switch {
-	case len(j.spec.TraceBin) > 0:
+	case len(spec.TraceBin) > 0:
+		var err error
+		tr, err = trace.Decode(bytes.NewReader(spec.TraceBin))
+		if err != nil {
+			return nil, gpusim.Config{}, fmt.Errorf("jobs: %w", err)
+		}
+	case spec.Build != nil:
+		tr = spec.Build(spec.Params)
+	default:
+		b, err := workload.ByAlias(spec.Alias)
+		if err != nil {
+			return nil, gpusim.Config{}, err
+		}
+		tr = b.Build(spec.Params)
+	}
+	cfg := gpusim.DefaultConfig()
+	cfg.Technique = spec.Tech
+	cfg.TileWorkers = tileWorkers
+	cfg.Fault = plan
+	if spec.Mutate != nil {
+		spec.Mutate(&cfg)
+	}
+	return tr, cfg, nil
+}
+
+// runResumable is the pool's built-in executor: like DefaultRun it builds
+// the trace and simulates with cancellation honored at frame boundaries, but
+// it also threads the pool's fault plan into the simulation and — with
+// WithCheckpointInterval > 0 — snapshots the simulator at frame boundaries
+// into the job. A later attempt of the same job (after a transient failure,
+// a contained or worker-level panic, or a per-attempt timeout) resumes from
+// the last checkpoint instead of frame 0, so the total frames simulated
+// across all attempts stays close to the trace length.
+func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, time.Duration)) (gpusim.Result, error) {
+	buildStart := time.Now()
+	if len(j.spec.TraceBin) > 0 {
 		// Injected decode fault. The Corrupt kind additionally runs a
 		// deterministically mangled copy of the upload through the decoder
 		// — which must reject or misparse it gracefully, never crash (the
@@ -40,26 +94,10 @@ func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, ti
 			}
 			return gpusim.Result{}, Transient(fmt.Errorf("jobs: trace read: %w", ferr))
 		}
-		var err error
-		tr, err = trace.Decode(bytes.NewReader(j.spec.TraceBin))
-		if err != nil {
-			return gpusim.Result{}, fmt.Errorf("jobs: %w", err)
-		}
-	case j.spec.Build != nil:
-		tr = j.spec.Build(j.spec.Params)
-	default:
-		b, err := workload.ByAlias(j.spec.Alias)
-		if err != nil {
-			return gpusim.Result{}, err
-		}
-		tr = b.Build(j.spec.Params)
 	}
-	cfg := gpusim.DefaultConfig()
-	cfg.Technique = j.spec.Tech
-	cfg.TileWorkers = p.opts.TileWorkers
-	cfg.Fault = p.opts.Fault
-	if j.spec.Mutate != nil {
-		j.spec.Mutate(&cfg)
+	tr, cfg, err := buildInputs(j.spec, p.opts.TileWorkers, p.opts.Fault)
+	if err != nil {
+		return gpusim.Result{}, err
 	}
 	sim, err := gpusim.New(tr, cfg)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"rendelim/internal/apihttp"
 	"rendelim/internal/cluster"
 	"rendelim/internal/gpusim"
 	"rendelim/internal/jobs"
@@ -100,7 +101,6 @@ func startCluster(t *testing.T, n int, healthInterval, resultTTL time.Duration) 
 			Self:           nd.addr,
 			Peers:          peers,
 			HealthInterval: healthInterval,
-			HealthTimeout:  time.Second,
 			ResultTTL:      resultTTL,
 			ForwardTimeout: 30 * time.Second,
 			Tracer:         nd.tracer,
@@ -140,14 +140,14 @@ func clusterSpec() (string, jobs.Key) {
 }
 
 // postJob submits body to node and decodes the response.
-func postJob(t *testing.T, node *clusterNode, body string) (int, JobResponse) {
+func postJob(t *testing.T, node *clusterNode, body string) (int, apihttp.JobResponse) {
 	t.Helper()
-	resp, err := http.Post(node.ts.URL+"/jobs?wait=1", "application/json", strings.NewReader(body))
+	resp, err := http.Post(node.ts.URL+apihttp.PathJobs+"?wait=1", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var jr JobResponse
+	var jr apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 		t.Fatalf("decoding job response: %v", err)
 	}
@@ -157,7 +157,7 @@ func postJob(t *testing.T, node *clusterNode, body string) (int, JobResponse) {
 // scrape fetches a node's /metrics text.
 func scrape(t *testing.T, node *clusterNode) string {
 	t.Helper()
-	resp, err := http.Get(node.ts.URL + "/metrics")
+	resp, err := http.Get(node.ts.URL + apihttp.PathMetrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func totalFramesExecuted(nodes []*clusterNode) uint64 {
 func (n *clusterNode) nodeFrames() uint64 { return n.pool.Metrics().FramesSimulated.Load() }
 
 // resultJSON canonicalizes the result payload for byte-identity comparison.
-func resultJSON(t *testing.T, jr JobResponse) string {
+func resultJSON(t *testing.T, jr apihttp.JobResponse) string {
 	t.Helper()
 	if jr.Result == nil {
 		t.Fatalf("job response carries no result: %+v", jr)
@@ -269,7 +269,7 @@ func TestClusterCrossNodeElimination(t *testing.T) {
 
 	// Results are byte-identical no matter which node the client reached.
 	want := resultJSON(t, first)
-	for i, jr := range []JobResponse{second, third} {
+	for i, jr := range []apihttp.JobResponse{second, third} {
 		if got := resultJSON(t, jr); got != want {
 			t.Errorf("submission %d result differs:\n got %s\nwant %s", i+2, got, want)
 		}
@@ -285,7 +285,7 @@ func TestClusterCrossNodeElimination(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var status JobResponse
+	var status apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}

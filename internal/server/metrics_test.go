@@ -9,6 +9,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"rendelim/internal/apihttp"
 )
 
 var seriesLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? [^ ]+$`)
@@ -97,18 +99,18 @@ func parsePromText(t *testing.T, body string) (map[string]bool, map[string]strin
 	return series, families
 }
 
-// TestMetricsWellFormed runs one job, scrapes /metrics, and asserts every
+// TestMetricsWellFormed runs one job, scrapes /v1/metrics, and asserts every
 // exposed line parses as well-formed Prometheus text — HELP/TYPE pairing,
 // no duplicate series — including the per-stage cycle and tile-class
 // counters the simulator feeds in.
 func TestMetricsWellFormed(t *testing.T) {
 	srv, _ := newTestServer(t)
-	_, jr := postJSON(t, srv.URL+"/jobs?wait=1", `{"alias": "ccs", "tech": "re", "width": 96, "height": 64, "frames": 3}`)
+	_, jr := postJSON(t, srv.URL+apihttp.PathJobs+"?wait=1", `{"alias": "ccs", "tech": "re", "width": 96, "height": 64, "frames": 3}`)
 	if jr.State != "done" {
 		t.Fatalf("job did not finish: %+v", jr)
 	}
 
-	resp, err := http.Get(srv.URL + "/metrics")
+	resp, err := http.Get(srv.URL + apihttp.PathMetrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +132,9 @@ func TestMetricsWellFormed(t *testing.T) {
 			t.Errorf("family %s type = %q, want histogram", name, families[name])
 		}
 	}
-	if !series[`resvc_http_request_duration_seconds_bucket{route="/jobs",status="200",le="+Inf"}`] {
-		t.Error(`missing +Inf bucket for route="/jobs",status="200" (the completed ?wait=1 submit)`)
+	submitInf := `resvc_http_request_duration_seconds_bucket{route="` + apihttp.PathJobs + `",status="200",le="+Inf"}`
+	if !series[submitInf] {
+		t.Errorf("missing %s (the completed ?wait=1 submit)", submitInf)
 	}
 	if !series[`resvc_sim_frame_eliminated_ratio_count`] || !series[`resvc_sim_frame_eliminated_ratio_sum`] {
 		t.Error("frame-elimination histogram missing _count/_sum series")

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rendelim/internal/apihttp"
 	"rendelim/internal/cluster"
 	"rendelim/internal/jobs"
 	"rendelim/internal/store"
@@ -54,15 +55,15 @@ func TestRestartRecoveryOverHTTP(t *testing.T) {
 	pool := jobs.NewPool(jobs.WithWorkers(2), jobs.WithStore(st), jobs.WithLogger(quietSlog()))
 	ts := httptest.NewServer(New(pool, Limits{}).Handler())
 
-	code, firstJSON := postJSON(t, ts.URL+"/jobs?wait=1", jsonBody)
+	code, firstJSON := postJSON(t, ts.URL+apihttp.PathJobs+"?wait=1", jsonBody)
 	if code != http.StatusOK || firstJSON.State != "done" {
 		t.Fatalf("json submission: code %d, %+v", code, firstJSON)
 	}
-	resp, err := http.Post(ts.URL+"/jobs?wait=1", "application/octet-stream", bytes.NewReader(traceBuf.Bytes()))
+	resp, err := http.Post(ts.URL+apihttp.PathJobs+"?wait=1", "application/octet-stream", bytes.NewReader(traceBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var firstTrace JobResponse
+	var firstTrace apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&firstTrace); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestRestartRecoveryOverHTTP(t *testing.T) {
 	ts2 := httptest.NewServer(New(pool2, Limits{}).Handler())
 	defer ts2.Close()
 
-	code, again := postJSON(t, ts2.URL+"/jobs?wait=1", jsonBody)
+	code, again := postJSON(t, ts2.URL+apihttp.PathJobs+"?wait=1", jsonBody)
 	if code != http.StatusOK || again.State != "done" {
 		t.Fatalf("post-restart json submission: code %d, %+v", code, again)
 	}
@@ -95,11 +96,11 @@ func TestRestartRecoveryOverHTTP(t *testing.T) {
 		t.Fatalf("post-restart result differs:\n%s\n%s", r1, r2)
 	}
 
-	resp, err = http.Post(ts2.URL+"/jobs?wait=1", "application/octet-stream", bytes.NewReader(traceBuf.Bytes()))
+	resp, err = http.Post(ts2.URL+apihttp.PathJobs+"?wait=1", "application/octet-stream", bytes.NewReader(traceBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var againTrace JobResponse
+	var againTrace apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&againTrace); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestClusterServesRecoveredResultsRemotely(t *testing.T) {
 	st := openRecoveryStore(t, dir)
 	pool := jobs.NewPool(jobs.WithWorkers(2), jobs.WithStore(st), jobs.WithLogger(quietSlog()))
 	ts := httptest.NewServer(New(pool, Limits{}).Handler())
-	code, first := postJSON(t, ts.URL+"/jobs?wait=1", body)
+	code, first := postJSON(t, ts.URL+apihttp.PathJobs+"?wait=1", body)
 	if code != http.StatusOK || first.State != "done" {
 		t.Fatalf("pre-crash submission: code %d, %+v", code, first)
 	}
@@ -179,14 +180,14 @@ func TestClusterServesRecoveredResultsRemotely(t *testing.T) {
 		var err error
 		c0, err = cluster.New(cluster.Options{
 			Self: addr0, Peers: []string{addr1},
-			HealthTimeout: time.Second, ResultTTL: time.Minute, ForwardTimeout: 30 * time.Second,
+			ResultTTL: time.Minute, ForwardTimeout: 30 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		c1, err = cluster.New(cluster.Options{
 			Self: addr1, Peers: []string{addr0},
-			HealthTimeout: time.Second, ResultTTL: time.Minute, ForwardTimeout: 30 * time.Second,
+			ResultTTL: time.Minute, ForwardTimeout: 30 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -204,7 +205,7 @@ func TestClusterServesRecoveredResultsRemotely(t *testing.T) {
 
 	// Enter through the peer: forwarded to the recovered owner, served
 	// from the cache the store rebuilt, no simulation anywhere.
-	code, jr := postJSON(t, ts1.URL+"/jobs?wait=1", body)
+	code, jr := postJSON(t, ts1.URL+apihttp.PathJobs+"?wait=1", body)
 	if code != http.StatusOK || jr.State != "done" {
 		t.Fatalf("post-restart submission via peer: code %d, %+v", code, jr)
 	}

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"rendelim/internal/apihttp"
 	"rendelim/internal/cluster"
 	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
@@ -34,14 +35,14 @@ func newTestServer(t *testing.T) (*httptest.Server, *jobs.Pool) {
 	return srv, pool
 }
 
-func postJSON(t *testing.T, url string, body string) (int, JobResponse) {
+func postJSON(t *testing.T, url string, body string) (int, apihttp.JobResponse) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var jr JobResponse
+	var jr apihttp.JobResponse
 	raw, _ := io.ReadAll(resp.Body)
 	if err := json.Unmarshal(raw, &jr); err != nil {
 		t.Fatalf("bad response %s: %v", raw, err)
@@ -51,7 +52,7 @@ func postJSON(t *testing.T, url string, body string) (int, JobResponse) {
 
 func metricValue(t *testing.T, base, name string) float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(base + apihttp.PathMetrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestEndToEndJobElimination(t *testing.T) {
 	srv, _ := newTestServer(t)
 	body := `{"alias": "ccs", "tech": "re", "width": 96, "height": 64, "frames": 3}`
 
-	code1, jr1 := postJSON(t, srv.URL+"/jobs?wait=1", body)
+	code1, jr1 := postJSON(t, srv.URL+apihttp.PathJobs+"?wait=1", body)
 	if code1 != http.StatusOK {
 		t.Fatalf("first POST: status %d (%+v)", code1, jr1)
 	}
@@ -87,7 +88,7 @@ func TestEndToEndJobElimination(t *testing.T) {
 		t.Error("first submission must not be deduped")
 	}
 
-	code2, jr2 := postJSON(t, srv.URL+"/jobs?wait=1", body)
+	code2, jr2 := postJSON(t, srv.URL+apihttp.PathJobs+"?wait=1", body)
 	if code2 != http.StatusOK {
 		t.Fatalf("second POST: status %d", code2)
 	}
@@ -117,7 +118,7 @@ func TestEndToEndJobElimination(t *testing.T) {
 	}
 
 	// A different technique must NOT be eliminated (config hash differs).
-	_, jr3 := postJSON(t, srv.URL+"/jobs?wait=1", `{"alias": "ccs", "tech": "base", "width": 96, "height": 64, "frames": 3}`)
+	_, jr3 := postJSON(t, srv.URL+apihttp.PathJobs+"?wait=1", `{"alias": "ccs", "tech": "base", "width": 96, "height": 64, "frames": 3}`)
 	if jr3.Deduped {
 		t.Error("different config wrongly eliminated")
 	}
@@ -137,13 +138,13 @@ func TestTraceUpload(t *testing.T) {
 	}
 	raw := buf.Bytes()
 
-	post := func() (int, JobResponse) {
-		resp, err := http.Post(srv.URL+"/jobs?wait=1&tech=re", "application/octet-stream", bytes.NewReader(raw))
+	post := func() (int, apihttp.JobResponse) {
+		resp, err := http.Post(srv.URL+apihttp.PathJobs+"?wait=1&tech=re", "application/octet-stream", bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var jr JobResponse
+		var jr apihttp.JobResponse
 		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +164,7 @@ func TestTraceUpload(t *testing.T) {
 	}
 
 	// Malformed upload must 400, not crash.
-	resp, err := http.Post(srv.URL+"/jobs", "application/octet-stream", bytes.NewReader(raw[:37]))
+	resp, err := http.Post(srv.URL+apihttp.PathJobs, "application/octet-stream", bytes.NewReader(raw[:37]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +176,8 @@ func TestTraceUpload(t *testing.T) {
 
 func TestJobStatusEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
-	_, jr := postJSON(t, srv.URL+"/jobs", `{"alias": "cde", "width": 96, "height": 64, "frames": 2}`)
-	if jr.ID == "" || jr.Location != "/jobs/"+jr.ID {
+	_, jr := postJSON(t, srv.URL+apihttp.PathJobs, `{"alias": "cde", "width": 96, "height": 64, "frames": 2}`)
+	if jr.ID == "" || jr.Location != apihttp.JobPath(jr.ID) {
 		t.Fatalf("bad submit response %+v", jr)
 	}
 
@@ -185,7 +186,7 @@ func TestJobStatusEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var got JobResponse
+	var got apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +198,8 @@ func TestJobStatusEndpoint(t *testing.T) {
 		path string
 		want int
 	}{
-		{"/jobs/j-999999", http.StatusNotFound},
-		{"/jobs/", http.StatusNotFound},
+		{apihttp.JobPath("j-999999"), http.StatusNotFound},
+		{apihttp.PathJobs + "/", http.StatusNotFound},
 	} {
 		resp, err := http.Get(srv.URL + tc.path)
 		if err != nil {
@@ -213,7 +214,7 @@ func TestJobStatusEndpoint(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	srv, pool := newTestServer(t)
-	resp, err := http.Get(srv.URL + "/healthz")
+	resp, err := http.Get(srv.URL + apihttp.PathHealthz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,24 +241,24 @@ func TestBadRequests(t *testing.T) {
 		do   func() (*http.Response, error)
 		want int
 	}{
-		{"GET /jobs", func() (*http.Response, error) { return http.Get(srv.URL + "/jobs") }, http.StatusMethodNotAllowed},
+		{"GET /v1/jobs", func() (*http.Response, error) { return http.Get(srv.URL + apihttp.PathJobs) }, http.StatusMethodNotAllowed},
 		{"bad JSON", func() (*http.Response, error) {
-			return http.Post(srv.URL+"/jobs", "application/json", strings.NewReader("{"))
+			return http.Post(srv.URL+apihttp.PathJobs, "application/json", strings.NewReader("{"))
 		}, http.StatusBadRequest},
 		{"missing alias", func() (*http.Response, error) {
-			return http.Post(srv.URL+"/jobs", "application/json", strings.NewReader("{}"))
+			return http.Post(srv.URL+apihttp.PathJobs, "application/json", strings.NewReader("{}"))
 		}, http.StatusBadRequest},
 		{"unknown alias", func() (*http.Response, error) {
-			return http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"alias": "nope"}`))
+			return http.Post(srv.URL+apihttp.PathJobs, "application/json", strings.NewReader(`{"alias": "nope"}`))
 		}, http.StatusBadRequest},
 		{"unknown tech", func() (*http.Response, error) {
-			return http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"alias": "ccs", "tech": "quantum"}`))
+			return http.Post(srv.URL+apihttp.PathJobs, "application/json", strings.NewReader(`{"alias": "ccs", "tech": "quantum"}`))
 		}, http.StatusBadRequest},
 		{"over-limit resolution", func() (*http.Response, error) {
-			return http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"alias": "ccs", "width": 100000, "height": 100000}`))
+			return http.Post(srv.URL+apihttp.PathJobs, "application/json", strings.NewReader(`{"alias": "ccs", "width": 100000, "height": 100000}`))
 		}, http.StatusBadRequest},
 		{"over-limit frames", func() (*http.Response, error) {
-			return http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"alias": "ccs", "frames": 100000}`))
+			return http.Post(srv.URL+apihttp.PathJobs, "application/json", strings.NewReader(`{"alias": "ccs", "frames": 100000}`))
 		}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -274,19 +275,19 @@ func TestBadRequests(t *testing.T) {
 }
 
 // The async path: POST without wait returns 202 and the job converges via
-// polling GET /jobs/{id}.
+// polling GET /v1/jobs/{id}.
 func TestAsyncSubmit(t *testing.T) {
 	srv, _ := newTestServer(t)
-	code, jr := postJSON(t, srv.URL+"/jobs", `{"alias": "ctr", "width": 96, "height": 64, "frames": 2}`)
+	code, jr := postJSON(t, srv.URL+apihttp.PathJobs, `{"alias": "ctr", "width": 96, "height": 64, "frames": 2}`)
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("async POST: status %d", code)
 	}
-	resp, err := http.Get(fmt.Sprintf("%s/jobs/%s?wait=1", srv.URL, jr.ID))
+	resp, err := http.Get(srv.URL + apihttp.JobPath(jr.ID) + "?wait=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var got JobResponse
+	var got apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestSpecErrorsWrapSentinels(t *testing.T) {
 		{"over-limit frames", `{"alias": "ccs", "frames": 100000}`},
 	}
 	for _, tc := range jsonCases {
-		r := httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(tc.body))
+		r := httptest.NewRequest(http.MethodPost, apihttp.PathJobs, strings.NewReader(tc.body))
 		_, _, err := srv.specFromJSON(r)
 		if err == nil {
 			t.Fatalf("%s: accepted", tc.name)
@@ -353,7 +354,7 @@ func TestSpecErrorsWrapSentinels(t *testing.T) {
 			t.Errorf("%s: maps to %d, want 400", tc.name, statusForError(err))
 		}
 	}
-	r := httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(`{"alias": "nope"}`))
+	r := httptest.NewRequest(http.MethodPost, apihttp.PathJobs, strings.NewReader(`{"alias": "nope"}`))
 	if _, _, err := srv.specFromJSON(r); !errors.Is(err, rerr.ErrUnknownBenchmark) {
 		t.Errorf("unknown alias: %v does not wrap ErrUnknownBenchmark", err)
 	}
@@ -366,7 +367,7 @@ func TestSpecErrorsWrapSentinels(t *testing.T) {
 		{"empty body", nil},
 	}
 	for _, tc := range traceCases {
-		r := httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(tc.body))
+		r := httptest.NewRequest(http.MethodPost, apihttp.PathJobs, bytes.NewReader(tc.body))
 		_, _, err := srv.specFromTrace(r)
 		if err == nil {
 			t.Fatalf("%s: accepted", tc.name)
@@ -387,7 +388,7 @@ func TestSpecErrorsWrapSentinels(t *testing.T) {
 	if err := trace.Encode(&buf, b.Build(workload.Params{Width: 64, Height: 48, Frames: 1, Seed: 1})); err != nil {
 		t.Fatal(err)
 	}
-	r = httptest.NewRequest(http.MethodPost, "/jobs?tech=quantum", bytes.NewReader(buf.Bytes()))
+	r = httptest.NewRequest(http.MethodPost, apihttp.PathJobs+"?tech=quantum", bytes.NewReader(buf.Bytes()))
 	if _, _, err := srv.specFromTrace(r); !errors.Is(err, rerr.ErrBadConfig) {
 		t.Errorf("bad upload tech: %v does not wrap ErrBadConfig", err)
 	}
@@ -410,17 +411,17 @@ func TestOverloadSheds429(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	// First job occupies the worker, second the queue slot.
-	code, jr := postJSON(t, srv.URL+"/jobs", `{"alias": "ccs"}`)
+	code, jr := postJSON(t, srv.URL+apihttp.PathJobs, `{"alias": "ccs"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit: %d", code)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(srv.URL + "/jobs/" + jr.ID)
+		resp, err := http.Get(srv.URL + apihttp.JobPath(jr.ID))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got JobResponse
+		var got apihttp.JobResponse
 		json.NewDecoder(resp.Body).Decode(&got)
 		resp.Body.Close()
 		if got.State == "running" {
@@ -428,11 +429,11 @@ func TestOverloadSheds429(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if code, _ := postJSON(t, srv.URL+"/jobs", `{"alias": "mst"}`); code != http.StatusAccepted {
+	if code, _ := postJSON(t, srv.URL+apihttp.PathJobs, `{"alias": "mst"}`); code != http.StatusAccepted {
 		t.Fatalf("queue-filling submit: %d", code)
 	}
 
-	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"alias": "hop"}`))
+	resp, err := http.Post(srv.URL+apihttp.PathJobs, "application/json", strings.NewReader(`{"alias": "hop"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +446,7 @@ func TestOverloadSheds429(t *testing.T) {
 	}
 }
 
-// StartDraining must flip /healthz to 503 {"status":"draining"}.
+// StartDraining must flip /v1/healthz to 503 {"status":"draining"}.
 func TestHealthzDraining(t *testing.T) {
 	pool := jobs.NewPool(jobs.WithWorkers(1), jobs.WithCacheSize(8))
 	t.Cleanup(func() { pool.Close(context.Background()) })
@@ -457,7 +458,7 @@ func TestHealthzDraining(t *testing.T) {
 	if !s.Draining() {
 		t.Fatal("Draining() false after StartDraining")
 	}
-	resp, err := http.Get(srv.URL + "/healthz")
+	resp, err := http.Get(srv.URL + apihttp.PathHealthz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +488,7 @@ func TestHandlerFaultInjection(t *testing.T) {
 
 	s.SetFaultPlan(fault.New(5).
 		With(fault.SiteServerAccept, fault.Site{Prob: 1, Limit: 1, Kinds: []fault.Kind{fault.Panic}}))
-	resp, err := http.Get(srv.URL + "/healthz")
+	resp, err := http.Get(srv.URL + apihttp.PathHealthz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +500,7 @@ func TestHandlerFaultInjection(t *testing.T) {
 
 	s.SetFaultPlan(fault.New(5).
 		With(fault.SiteServerAccept, fault.Site{Prob: 1, Limit: 1, Kinds: []fault.Kind{fault.Transient}}))
-	resp, err = http.Get(srv.URL + "/healthz")
+	resp, err = http.Get(srv.URL + apihttp.PathHealthz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +515,7 @@ func TestHandlerFaultInjection(t *testing.T) {
 
 	// Plan exhausted (Limit 1 each): the server must be healthy again.
 	s.SetFaultPlan(nil)
-	resp, err = http.Get(srv.URL + "/healthz")
+	resp, err = http.Get(srv.URL + apihttp.PathHealthz)
 	if err != nil {
 		t.Fatal(err)
 	}

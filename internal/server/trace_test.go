@@ -8,12 +8,13 @@ import (
 	"strings"
 	"testing"
 
+	"rendelim/internal/apihttp"
 	"rendelim/internal/obs"
 )
 
 // TestClusterTracePropagation is the end-to-end acceptance check for the
 // distributed-tracing plane: a job submitted to a node that does NOT own its
-// signature must yield ONE trace id that is visible in the JobResponse, in
+// signature must yield ONE trace id that is visible in the apihttp.JobResponse, in
 // both the sender's and the owner's request logs, and whose two nodes' span
 // streams merge into a single valid Chrome trace with both node pids.
 func TestClusterTracePropagation(t *testing.T) {
@@ -45,7 +46,7 @@ func TestClusterTracePropagation(t *testing.T) {
 		t.Fatalf("job ran on %q, want owner %q", jr.Node, owner.addr)
 	}
 	if len(jr.Trace) != 32 {
-		t.Fatalf("JobResponse.Trace = %q, want a 32-hex trace id", jr.Trace)
+		t.Fatalf("apihttp.JobResponse.Trace = %q, want a 32-hex trace id", jr.Trace)
 	}
 
 	// The same trace id must appear in both nodes' request logs: the sender
@@ -62,7 +63,7 @@ func TestClusterTracePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var follow JobResponse
+	var follow apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&follow); err != nil {
 		t.Fatal(err)
 	}
