@@ -248,6 +248,13 @@ func (t *Trace) Validate() error {
 					return fmt.Errorf("trace %q frame %d cmd %d: uniform range [%d,%d) out of bounds",
 						t.Name, fi, ci, c.First, c.First+len(c.Values))
 				}
+			case UploadProgram:
+				if c.Program == nil {
+					return fmt.Errorf("trace %q frame %d cmd %d: nil program upload to id %d", t.Name, fi, ci, c.ID)
+				}
+				if err := c.Program.Validate(); err != nil {
+					return fmt.Errorf("trace %q frame %d cmd %d: %w", t.Name, fi, ci, err)
+				}
 			case SetRenderTargets:
 				if c.N < 1 {
 					return fmt.Errorf("trace %q frame %d cmd %d: render targets %d", t.Name, fi, ci, c.N)

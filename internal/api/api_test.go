@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -201,5 +202,43 @@ func TestTraceValidate(t *testing.T) {
 	badDraw.Frames = []Frame{{Commands: []Command{Draw{NumAttrs: 1, Data: make([]geom.Vec4, 4)}}}}
 	if badDraw.Validate() == nil {
 		t.Fatal("ragged draw accepted")
+	}
+
+	upload := *good
+	upload.Frames = []Frame{{Commands: []Command{UploadProgram{ID: 1, Program: shader.LambertTexFS()}}}}
+	if err := upload.Validate(); err != nil {
+		t.Fatalf("valid upload rejected: %v", err)
+	}
+}
+
+// Uploaded programs reach the shader VM like the trace's own programs, so
+// Validate must reject the same defects in them.
+func TestTraceValidateRejectsBadUploads(t *testing.T) {
+	outOfRange := &shader.Program{Name: "wild", Instrs: []shader.Instr{
+		{Op: shader.OpMov, Dst: shader.RD(200), Src: [3]shader.Src{shader.V(0)}},
+	}}
+	wantErr := outOfRange.Validate()
+	if wantErr == nil {
+		t.Fatal("program with temp dst 200 validated")
+	}
+	for _, tc := range []struct {
+		name string
+		prog *shader.Program
+	}{
+		{"nil", nil},
+		{"out-of-range", outOfRange},
+	} {
+		tr := &Trace{
+			Name: "t", Width: 32, Height: 32,
+			Programs: []*shader.Program{shader.FlatFS()},
+			Frames:   []Frame{{Commands: []Command{UploadProgram{ID: 1, Program: tc.prog}}}},
+		}
+		err := tr.Validate()
+		if err == nil {
+			t.Fatalf("%s upload accepted", tc.name)
+		}
+		if inner := errors.Unwrap(err); tc.prog != nil && (inner == nil || inner.Error() != wantErr.Error()) {
+			t.Fatalf("%s upload: error %q does not wrap the program's %q", tc.name, err, wantErr)
+		}
 	}
 }

@@ -20,6 +20,8 @@
 // the package tests).
 package crc
 
+import "hash/crc32"
+
 // Poly is the reflected CRC-32 (IEEE 802.3) polynomial.
 const Poly uint32 = 0xEDB88320
 
@@ -54,12 +56,12 @@ func init() {
 }
 
 // Update feeds data into the raw CRC state crc and returns the new state.
-// Update(0, m) is the raw CRC32 of message m.
+// Update(0, m) is the raw CRC32 of message m. hash/crc32 conditions its
+// state by complementing it on entry and exit, so undoing both yields the
+// raw CRC while keeping the standard library's slicing and carry-less
+// multiply fast paths.
 func Update(crc uint32, data []byte) uint32 {
-	for _, b := range data {
-		crc = byteTable[byte(crc)^b] ^ (crc >> 8)
-	}
-	return crc
+	return ^crc32.Update(^crc, crc32.IEEETable, data)
 }
 
 // UpdateBitwise is the shift-register reference implementation of Update

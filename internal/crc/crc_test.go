@@ -7,15 +7,20 @@ import (
 	"testing/quick"
 )
 
+// Every length 0..300 crosses hash/crc32's 16- and 64-byte fast-path
+// thresholds, from a random state and at a random offset.
 func TestUpdateMatchesBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(64)
-		data := make([]byte, n)
-		rng.Read(data)
-		init := rng.Uint32()
-		if got, want := Update(init, data), UpdateBitwise(init, data); got != want {
-			t.Fatalf("trial %d: Update=%08x bitwise=%08x", trial, got, want)
+	buf := make([]byte, 308)
+	for n := 0; n <= 300; n++ {
+		for trial := 0; trial < 4; trial++ {
+			rng.Read(buf)
+			off := rng.Intn(8)
+			data := buf[off : off+n]
+			init := rng.Uint32()
+			if got, want := Update(init, data), UpdateBitwise(init, data); got != want {
+				t.Fatalf("len %d trial %d: Update=%08x bitwise=%08x", n, trial, got, want)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rendelim/internal/api"
+	"rendelim/internal/shader"
 	"rendelim/internal/workload"
 )
 
@@ -127,6 +128,31 @@ func TestAllocsPerFrameParallel(t *testing.T) {
 				t.Errorf("RunFrame(workers=%d): %.1f allocs/frame, budget %.0f", workers, avg, budget)
 			}
 		})
+	}
+}
+
+// TestAllocsProgramUploadFrame: an upload decodes into its slot's existing
+// code storage, so once the slot has held a program that long, frames that
+// upload programs allocate nothing either.
+func TestAllocsProgramUploadFrame(t *testing.T) {
+	tr := staticTrace(4)
+	for i := range tr.Frames {
+		up := api.UploadProgram{ID: 1, Program: shader.LambertTexFS()}
+		tr.Frames[i].Commands = append([]api.Command{up}, tr.Frames[i].Commands...)
+	}
+	cfg := DefaultConfig()
+	cfg.Technique = RE
+	cfg.TileWorkers = 1
+	s, err := New(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := &workloadTrace{tr: tr}
+	for i := 0; i < 2*len(tr.Frames); i++ {
+		s.RunFrame(frames.next())
+	}
+	if avg := testing.AllocsPerRun(8, func() { s.RunFrame(frames.next()) }); avg != 0 {
+		t.Errorf("RunFrame with a program upload: %.1f allocs/frame, want 0", avg)
 	}
 }
 

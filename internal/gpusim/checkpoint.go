@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"slices"
 
 	"rendelim/internal/api"
 	"rendelim/internal/cache"
@@ -59,8 +60,7 @@ type Checkpoint struct {
 	dram   dram.Snapshot
 	caches []cache.Snapshot // vcache, tcache[0..3], tilecache, l2
 
-	programs []*shader.Program
-	fsMasks  []progMask
+	programs []*shader.Program // by program ID; nil for an ID never uploaded
 	textures []*texture.Texture
 
 	vsCounts   shader.Counts
@@ -98,12 +98,14 @@ func (s *Simulator) Checkpoint() *Checkpoint {
 
 		dram: s.dram.Snapshot(),
 
-		programs: append([]*shader.Program(nil), s.programs...),
-		fsMasks:  append([]progMask(nil), s.fsMasks...),
+		programs: make([]*shader.Program, len(s.programs)),
 		textures: append([]*texture.Texture(nil), s.textures...),
 
 		vsCounts:   s.vsExec.Counts,
 		skipCounts: append([]uint32(nil), s.skipCounts...),
+	}
+	for i := range s.programs {
+		cp.programs[i] = s.programs[i].prog
 	}
 	for _, c := range s.checkpointCaches() {
 		cp.caches = append(cp.caches, c.Snapshot())
@@ -139,6 +141,14 @@ func (s *Simulator) Resume(cp *Checkpoint) error {
 	if got, want := len(cp.fbuf.Bufs[0]), s.trace.Width*s.trace.Height; got != want {
 		return fmt.Errorf("gpusim: checkpoint framebuffer has %d pixels, simulator has %d", got, want)
 	}
+	for i, p := range cp.programs {
+		if p == nil {
+			continue
+		}
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("gpusim: checkpoint program %d: %w", i, err)
+		}
+	}
 	s.fbuf.Restore(cp.fbuf)
 	s.re.Restore(cp.re)
 	s.teBuf.Restore(cp.teBuf)
@@ -153,8 +163,7 @@ func (s *Simulator) Resume(cp *Checkpoint) error {
 		c.Restore(cp.caches[i])
 	}
 
-	s.programs = append(s.programs[:0], cp.programs...)
-	s.fsMasks = append(s.fsMasks[:0], cp.fsMasks...)
+	s.loadPrograms(cp.programs)
 	s.textures = append(s.textures[:0], cp.textures...)
 
 	s.vsExec.Counts = cp.vsCounts
@@ -162,6 +171,15 @@ func (s *Simulator) Resume(cp *Checkpoint) error {
 	*s.state = cp.stateVal
 	s.frameIdx = cp.frameIdx
 	return nil
+}
+
+// loadPrograms refills the program table from progs, indexed by program ID,
+// reusing every slot's decode storage.
+func (s *Simulator) loadPrograms(progs []*shader.Program) {
+	s.programs = slices.Grow(s.programs[:0], len(progs))[:len(progs)]
+	for i, p := range progs {
+		s.programs[i].set(p)
+	}
 }
 
 // checkpointCaches lists every cache in a fixed order shared by Checkpoint

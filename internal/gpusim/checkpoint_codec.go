@@ -95,10 +95,13 @@ func (cp *Checkpoint) EncodeBinary() []byte {
 	for _, p := range cp.programs {
 		b = appendProgram(b, p)
 	}
-	b = wire.AppendU32(b, uint32(len(cp.fsMasks)))
-	for _, m := range cp.fsMasks {
-		b = wire.AppendU16(b, m.in)
-		b = wire.AppendU32(b, m.consts)
+	// Each program's read masks follow. Resume recomputes them, but the
+	// encoding keeps them so the format is unchanged.
+	b = wire.AppendU32(b, uint32(len(cp.programs)))
+	for _, p := range cp.programs {
+		in, consts := p.ReadMasks()
+		b = wire.AppendU16(b, in)
+		b = wire.AppendU32(b, consts)
 	}
 	b = wire.AppendU32(b, uint32(len(cp.textures)))
 	for _, t := range cp.textures {
@@ -211,10 +214,9 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 		}
 	}
 	if n, ok := decodeCount(r, 6); ok {
-		cp.fsMasks = make([]progMask, n)
-		for i := range cp.fsMasks {
-			cp.fsMasks[i].in = r.U16()
-			cp.fsMasks[i].consts = r.U32()
+		for i := 0; i < n; i++ {
+			r.U16() // read masks: recomputed from the programs on Resume
+			r.U32()
 		}
 	}
 	if n, ok := decodeCount(r, 1); ok {

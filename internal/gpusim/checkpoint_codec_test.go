@@ -2,10 +2,13 @@ package gpusim
 
 import (
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
+	"rendelim/internal/api"
 	"rendelim/internal/crc"
+	"rendelim/internal/shader"
 	"rendelim/internal/wire"
 	"rendelim/internal/workload"
 )
@@ -157,4 +160,37 @@ func testCheckpointBlob(t *testing.T) []byte {
 	sim.RunFrame(&tr.Frames[0])
 	sim.RunFrame(&tr.Frames[1])
 	return sim.Checkpoint().EncodeBinary()
+}
+
+// The checkpoint encoding is a stored format: resvc's durable store keeps
+// checkpoints across restarts and upgrades. This pins its bytes for a run
+// whose program table has upload-created gaps (IDs 2 and 3 never filled),
+// so a change to how the simulator holds programs cannot alter what it
+// writes or what it must read back. (The body ends in its own raw-CRC seal,
+// so the pin uses the conditioned IEEE checksum, which does not cancel it.)
+func TestCheckpointCodecBytesPinned(t *testing.T) {
+	const wantLen, wantCRC = 478138, 0xb9e4ff26
+	tr := staticTrace(4)
+	up := api.UploadProgram{ID: 4, Program: shader.LambertTexFS()}
+	tr.Frames[1].Commands = append([]api.Command{up}, tr.Frames[1].Commands...)
+	cfg := DefaultConfig()
+	cfg.Technique = Memo
+	sim, err := New(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		sim.RunFrame(&tr.Frames[i])
+	}
+	blob := sim.Checkpoint().EncodeBinary()
+	if got := crc32.ChecksumIEEE(blob); len(blob) != wantLen || got != wantCRC {
+		t.Fatalf("checkpoint encoding: %d bytes, CRC %#08x; want %d bytes, CRC %#08x", len(blob), got, wantLen, wantCRC)
+	}
+	cp, err := DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := cp.EncodeBinary(); string(again) != string(blob) {
+		t.Fatal("decode then encode changed the bytes")
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rendelim/internal/shader"
 	"rendelim/internal/workload"
 )
 
@@ -136,5 +137,15 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	}
 	if err := simB.Resume(nil); err == nil {
 		t.Fatal("Resume accepted a nil checkpoint")
+	}
+
+	// A checkpoint read back from a store is outside input: a program that
+	// fails Validate must not reach the decoder, which trusts every index.
+	bad := simA.Checkpoint()
+	bad.programs[0] = &shader.Program{Name: "wild", Instrs: []shader.Instr{
+		{Op: shader.OpMov, Dst: shader.RD(200), Src: [3]shader.Src{shader.V(0)}},
+	}}
+	if err := simA.Resume(bad); err == nil {
+		t.Fatal("Resume accepted a checkpoint carrying an invalid program")
 	}
 }

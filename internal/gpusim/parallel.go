@@ -214,14 +214,21 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 	st := &res.shard
 	w.sampler.res = res
 
+	// Bind each draw's program, textures and constants once per run of
+	// its triangles in the bin, not once per triangle.
+	bound := -1
+	var fs *progSlot
 	for _, e := range bin {
 		tri := &s.arena.tris[e.Ref.Tri]
 		draw := &s.arena.draws[e.Ref.Draw]
-		fsProg := s.programs[draw.pipe.FS]
-		for u := range w.sampler.tex {
-			w.sampler.tex[u] = s.textures[draw.pipe.Tex[u]]
+		if e.Ref.Draw != bound {
+			bound = e.Ref.Draw
+			fs = &s.programs[draw.pipe.FS]
+			for u := range w.sampler.tex {
+				w.sampler.tex[u] = s.textures[draw.pipe.Tex[u]]
+			}
+			w.fsExec.SetConsts(draw.uniforms[:])
 		}
-		w.fsExec.Consts = draw.uniforms[:]
 		res.tw.SetupAttrs += uint64(3 * e.NumAttrs * 4)
 
 		depthTest := draw.pipe.DepthTest
@@ -253,11 +260,10 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 				var color geom.Vec4
 				reused := false
 				if s.cfg.Technique == Memo {
-					mask := s.fsMasks[draw.pipe.FS]
 					h := w.hasher.hash(uint8(draw.pipe.FS), [4]uint8{
 						uint8(draw.pipe.Tex[0]), uint8(draw.pipe.Tex[1]),
 						uint8(draw.pipe.Tex[2]), uint8(draw.pipe.Tex[3]),
-					}, mask.in, mask.consts, draw.uniforms[:], &f.Var)
+					}, fs.in, fs.consts, draw.uniforms[:], &f.Var)
 					st.memoLookups++
 					if c, ok := s.memo.lookup(memoCur, tile, h, crossFrame); ok {
 						color = c
@@ -266,12 +272,12 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 						st.fragsMemoReused++
 					}
 					if !reused {
-						color = w.shadeFragment(fsProg, f)
+						color = w.shadeFragment(fs.code, f)
 						st.fragsShaded++
 						s.memo.insert(memoCur, h, color)
 					}
 				} else {
-					color = w.shadeFragment(fsProg, f)
+					color = w.shadeFragment(fs.code, f)
 					st.fragsShaded++
 				}
 
@@ -326,12 +332,10 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 // shadeFragment runs the fragment shader VM on one rasterized fragment.
 //
 //re:hotpath
-func (w *rasterWorker) shadeFragment(p *shader.Program, f *rast.Fragment) geom.Vec4 {
-	for i := 0; i < rast.MaxVaryings; i++ {
-		w.fsExec.In[i+1] = f.Var[i]
-	}
-	w.fsExec.Run(p)
-	return w.fsExec.Out[0]
+func (w *rasterWorker) shadeFragment(code shader.Code, f *rast.Fragment) geom.Vec4 {
+	copy(w.fsExec.In()[1:], f.Var[:])
+	w.fsExec.Run(code)
+	return w.fsExec.Out()[0]
 }
 
 // commitTile is the serial post-raster stage: it replays the tile's recorded

@@ -37,10 +37,25 @@ type triRec struct {
 	draw int
 }
 
-// progMask caches a program's read sets.
-type progMask struct {
+// progSlot is one program ID's entry: the program as uploaded (what
+// checkpoints carry), its decoded code (what both VMs run) and its read
+// masks (what the memo hash covers).
+type progSlot struct {
+	prog   *shader.Program
+	code   shader.Code
 	in     uint16
 	consts uint32
+}
+
+// set installs p, decoding into the slot's existing code storage so a
+// warmed upload allocates nothing. A nil p (an ID no upload has filled)
+// leaves the slot empty.
+func (sl *progSlot) set(p *shader.Program) {
+	sl.prog, sl.code = p, sl.code[:0]
+	if p != nil {
+		sl.code = p.Decode(sl.code)
+	}
+	sl.in, sl.consts = p.ReadMasks()
 }
 
 // dramPort routes all traffic into the DRAM model while attributing bytes
@@ -78,9 +93,7 @@ type Simulator struct {
 	tilecache *cache.Cache
 	l2        *cache.Cache
 
-	programs []*shader.Program
-	// fsMasks[i] caches programs[i].ReadMasks() for the memo hash.
-	fsMasks  []progMask
+	programs []progSlot // by program ID
 	textures []*texture.Texture
 
 	vsExec shader.Exec
@@ -142,12 +155,7 @@ func New(trace *api.Trace, cfg Config) (*Simulator, error) {
 	s.teBuf = sig.NewBuffer(s.fbuf.NumTiles())
 	s.memo = newMemoState(s.fbuf.NumTiles(), cfg.MemoLUTEntries)
 
-	s.programs = append([]*shader.Program(nil), trace.Programs...)
-	s.fsMasks = make([]progMask, len(s.programs))
-	for i, p := range s.programs {
-		in, consts := p.ReadMasks()
-		s.fsMasks[i] = progMask{in: in, consts: consts}
-	}
+	s.loadPrograms(trace.Programs)
 	s.textures = make([]*texture.Texture, len(trace.Textures))
 	for i, spec := range trace.Textures {
 		s.textures[i] = spec.Build(i)
@@ -310,16 +318,12 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 		case api.UploadProgram:
 			s.state.Apply(cmd)
 			for int(c.ID) >= len(s.programs) {
-				// Both tables persist across frames and grow once to the
+				// The table persists across frames and grows once to the
 				// trace's program-ID high-water mark.
 				//re:arena
-				s.programs = append(s.programs, nil)
-				//re:arena
-				s.fsMasks = append(s.fsMasks, progMask{})
+				s.programs = append(s.programs, progSlot{})
 			}
-			s.programs[c.ID] = c.Program
-			in, consts := c.Program.ReadMasks()
-			s.fsMasks[c.ID] = progMask{in: in, consts: consts}
+			s.programs[c.ID].set(c.Program)
 		case api.UploadTexture:
 			s.state.Apply(cmd)
 			for int(c.ID) >= len(s.textures) {
@@ -460,9 +464,8 @@ func (s *Simulator) processDraw(d api.Draw, st *Stats, geo *timing.GeometryWork)
 	if d.Validate() != nil || d.TriangleCount() == 0 {
 		return
 	}
-	// The record is built in place in the arena (not in a local first):
-	// rec.uniforms[:] is later handed to the vertex-shader VM, and a slice
-	// of a local's array would force a per-draw heap escape.
+	// The record is built in place in the arena, not copied in from a
+	// local.
 	drawIdx := len(s.arena.draws)
 	//re:arena
 	s.arena.draws = append(s.arena.draws, drawRec{})
@@ -507,28 +510,26 @@ func (s *Simulator) processDraw(d api.Draw, st *Stats, geo *timing.GeometryWork)
 	}
 
 	// Vertex shading.
-	vs := s.programs[rec.pipe.VS]
-	s.vsExec.Consts = rec.uniforms[:]
+	vs := s.programs[rec.pipe.VS].code
+	s.vsExec.SetConsts(rec.uniforms[:])
+	in, out := s.vsExec.In(), s.vsExec.Out()
 	shaded := s.arena.shaded(nv)
 	for v := 0; v < nv; v++ {
-		attrs := d.Vertex(v)
-		for i := range attrs {
-			s.vsExec.In[i] = attrs[i]
-		}
+		copy(in[:], d.Vertex(v))
 		s.vsExec.Run(vs)
-		shaded[v].Pos = s.vsExec.Out[0]
+		shaded[v].Pos = out[0]
 		for i := 0; i < rast.MaxVaryings; i++ {
-			shaded[v].Var[i] = s.vsExec.Out[i+1]
+			shaded[v].Var[i] = out[i+1]
 		}
 	}
-	geo.VSInstructions += uint64(nv * vs.Len())
+	geo.VSInstructions += uint64(nv * len(vs))
 	if s.tr != nil {
 		s.tr.End() // vertex-shading
 		s.tr.BeginArg("tiling", "draw", int64(drawIdx))
 	}
 
 	// Primitive assembly: clip, cull, bin, and sign.
-	producer := uint64(vs.Len()*3 + 4)
+	producer := uint64(len(vs)*3 + 4)
 	nVaryings := d.NumAttrs - 1
 	pbBytesPerTri := 3 * (1 + nVaryings) * 16
 	for tri := 0; tri < d.TriangleCount(); tri++ {

@@ -378,3 +378,34 @@ func TestShaderUploadMidTrace(t *testing.T) {
 		t.Fatal("program upload frame must render")
 	}
 }
+
+// A vertex shader has no texture units bound, so its tex samples the zero
+// vector: adding that sample to the color varying changes no pixel.
+func TestTexInVertexShaderSamplesZero(t *testing.T) {
+	plain := staticTrace(2)
+	texVS := staticTrace(2)
+	vs := shader.TransformVS(2)
+	vs.Instrs = append(vs.Instrs,
+		shader.Instr{Op: shader.OpTex, Dst: shader.RD(1), Src: [3]shader.Src{shader.V(2)}},
+		shader.Instr{Op: shader.OpAdd, Dst: shader.OD(1), Src: [3]shader.Src{shader.V(1), shader.R(1)}},
+	)
+	texVS.Programs[0] = vs
+	simA, err := New(plain, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	simB, err := New(texVS, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := range plain.Frames {
+		simA.RunFrame(&plain.Frames[f])
+		simB.RunFrame(&texVS.Frames[f])
+		fa, fb := simA.FrameBufferSnapshot(), simB.FrameBufferSnapshot()
+		for i := range fa {
+			if fa[i] != fb[i] {
+				t.Fatalf("frame %d: pixel %d differs plain=%08x tex-vs=%08x", f, i, fa[i], fb[i])
+			}
+		}
+	}
+}

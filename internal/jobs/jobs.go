@@ -408,7 +408,7 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 	// Level-1 elimination: the result cache (the "previous frame").
 	if res, ok := p.cache.get(key); ok {
 		c := newCall(nil, nil)
-		c.finish(res, nil)
+		c.finish(*res, nil)
 		j.call = c
 		j.Deduped = true
 		p.register(j)
@@ -674,9 +674,12 @@ func (p *Pool) execute(j *Job) {
 	// reachable from the registry for as long as the finished job does.
 	j.resume = nil
 
+	// Publish the outcome on the call before the cache can hand out a
+	// pointer to it; done is closed below, once the bookkeeping is done.
+	j.call.result, j.call.err = res, err
 	p.mu.Lock()
 	if err == nil {
-		p.cache.put(j.Key, res)
+		p.cache.put(j.Key, &j.call.result)
 	}
 	p.flight.forget(j.Key)
 	p.mu.Unlock()
@@ -702,7 +705,7 @@ func (p *Pool) execute(j *Job) {
 		p.log.Warn("job failed", "id", j.ID, "key", j.Key.String(),
 			"duration", time.Since(start), "err", err)
 	}
-	j.call.finish(res, err)
+	close(j.call.done)
 	if j.call.cancel != nil {
 		j.call.cancel() // release the context chained off baseCtx
 	}

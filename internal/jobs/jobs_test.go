@@ -354,10 +354,10 @@ func TestGetRegistry(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := newLRU(2)
 	k := func(i uint32) Key { return Key{TraceSig: i} }
-	c.put(k(1), gpusim.Result{Name: "1"})
-	c.put(k(2), gpusim.Result{Name: "2"})
+	c.put(k(1), &gpusim.Result{Name: "1"})
+	c.put(k(2), &gpusim.Result{Name: "2"})
 	c.get(k(1)) // refresh 1; 2 becomes LRU
-	c.put(k(3), gpusim.Result{Name: "3"})
+	c.put(k(3), &gpusim.Result{Name: "3"})
 	if _, ok := c.get(k(2)); ok {
 		t.Error("LRU entry not evicted")
 	}

@@ -9,7 +9,9 @@ import (
 // lru is a fixed-capacity least-recently-used result cache keyed by job
 // signature. It is the job-level analogue of the Signature Buffer: a key hit
 // means the whole simulation is eliminated. Not safe for concurrent use; the
-// Pool serializes access under its mutex.
+// Pool serializes access under its mutex. An entry points at the Result its
+// job's call published, so a completed job's stats are held once; nobody
+// writes a Result after publishing it.
 type lru struct {
 	cap   int
 	order *list.List // front = most recent; values are *lruEntry
@@ -18,7 +20,7 @@ type lru struct {
 
 type lruEntry struct {
 	key Key
-	res gpusim.Result
+	res *gpusim.Result
 }
 
 func newLRU(capacity int) *lru {
@@ -28,16 +30,16 @@ func newLRU(capacity int) *lru {
 	return &lru{cap: capacity, order: list.New(), index: make(map[Key]*list.Element)}
 }
 
-func (c *lru) get(key Key) (gpusim.Result, bool) {
+func (c *lru) get(key Key) (*gpusim.Result, bool) {
 	el, ok := c.index[key]
 	if !ok {
-		return gpusim.Result{}, false
+		return nil, false
 	}
 	c.order.MoveToFront(el)
 	return el.Value.(*lruEntry).res, true
 }
 
-func (c *lru) put(key Key, res gpusim.Result) {
+func (c *lru) put(key Key, res *gpusim.Result) {
 	if el, ok := c.index[key]; ok {
 		el.Value.(*lruEntry).res = res
 		c.order.MoveToFront(el)

@@ -180,8 +180,9 @@ func (p *Pool) recoverFromStore() {
 			p.log.Warn("store: recovered result has bad key; dropped", "key", ks, "err", err)
 			continue
 		}
+		res := rec.Results[ks]
 		p.mu.Lock()
-		p.cache.put(k, rec.Results[ks])
+		p.cache.put(k, &res)
 		p.mu.Unlock()
 	}
 	if len(rec.Results) > 0 {

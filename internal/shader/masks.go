@@ -7,8 +7,11 @@ package shader
 // defeat memoization (while Rendering Elimination, which signs the raw
 // command data without inspecting shader dataflow, conservatively treats it
 // as input; that asymmetry produces the paper's "equal colors, different
-// inputs" tiles).
+// inputs" tiles). A nil program reads nothing.
 func (p *Program) ReadMasks() (inputs uint16, consts uint32) {
+	if p == nil {
+		return 0, 0
+	}
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		for s := 0; s < nsrc[in.Op]; s++ {

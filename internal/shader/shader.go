@@ -168,10 +168,6 @@ type Program struct {
 	Instrs []Instr
 }
 
-// Len returns the instruction count (the per-invocation cycle cost on one
-// shader processor).
-func (p *Program) Len() int { return len(p.Instrs) }
-
 // Validate checks every register reference against the bank limits.
 func (p *Program) Validate() error {
 	for i, in := range p.Instrs {
@@ -239,86 +235,138 @@ func (c *Counts) Add(o Counts) {
 	c.Invocations += o.Invocations
 }
 
-// Exec is a reusable execution context. Set In and Consts, call Run, read
-// Out. Exec is not safe for concurrent use; allocate one per goroutine.
+// The flat register file: Exec keeps every bank in one array, so a decoded
+// operand is a single index and Run never switches on the bank.
+const (
+	tempBase   = 0
+	inputBase  = tempBase + MaxTemps
+	constBase  = inputBase + MaxInputs
+	outputBase = constBase + MaxConsts
+	numRegs    = outputBase + MaxOutputs
+)
+
+// regIndex maps a bank-relative register to its flat index.
+func regIndex(f File, idx uint8) uint8 {
+	base := [...]uint8{FileTemp: tempBase, FileInput: inputBase, FileConst: constBase, FileOutput: outputBase}
+	return base[f] + idx
+}
+
+// instr is one decoded instruction: every operand resolved to a flat
+// register index, with the swizzle, negation and write-mask work flagged so
+// Run skips it when it is the identity.
+type instr struct {
+	op    Op
+	nsrc  uint8
+	ident uint8 // bit s: source s has the identity swizzle
+	neg   uint8 // bit s: source s is negated
+	dst   uint8
+	full  bool  // the write mask covers all four lanes
+	mask  uint8 // lanes written when !full
+	unit  uint8 // texture unit for OpTex
+	src   [3]uint8
+	swz   [3]Swizzle
+}
+
+// Code is a decoded program, the only form Run executes.
+type Code []instr
+
+// Decode translates p into Code, reusing dst's storage. p must have passed
+// Validate, which is the only check: Decode trusts every index.
+func (p *Program) Decode(dst Code) Code {
+	dst = dst[:0]
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		d := instr{
+			op:   in.Op,
+			nsrc: uint8(nsrc[in.Op]),
+			dst:  regIndex(in.Dst.File, in.Dst.Idx),
+			full: in.Dst.Mask == 0 || in.Dst.Mask == MaskXYZW,
+			mask: in.Dst.Mask,
+			unit: in.TexUnit,
+		}
+		for s := 0; s < nsrc[in.Op]; s++ {
+			src := &in.Src[s]
+			d.src[s] = regIndex(src.File, src.Idx)
+			d.swz[s] = src.Swz
+			if src.Swz == SwzXYZW {
+				d.ident |= 1 << s
+			}
+			if src.Neg {
+				d.neg |= 1 << s
+			}
+		}
+		dst = append(dst, d)
+	}
+	return dst
+}
+
+// Exec is a reusable execution context. Call SetConsts once per draw, fill
+// In, call Run, read Out. Exec is not safe for concurrent use; allocate one
+// per goroutine.
 type Exec struct {
-	In      [MaxInputs]geom.Vec4
-	Out     [MaxOutputs]geom.Vec4
-	Consts  []geom.Vec4
-	Sampler Sampler
+	Sampler Sampler // nil samples the zero vector
 	Counts  Counts
 
-	temps [MaxTemps]geom.Vec4
+	regs [numRegs]geom.Vec4
 }
 
-func (e *Exec) read(s Src) geom.Vec4 {
-	var reg geom.Vec4
-	switch s.File {
-	case FileTemp:
-		reg = e.temps[s.Idx]
-	case FileInput:
-		reg = e.In[s.Idx]
-	case FileConst:
-		if int(s.Idx) < len(e.Consts) {
-			reg = e.Consts[s.Idx]
-		}
-	}
-	out := geom.Vec4{
-		X: reg.Comp(int(s.Swz[0])),
-		Y: reg.Comp(int(s.Swz[1])),
-		Z: reg.Comp(int(s.Swz[2])),
-		W: reg.Comp(int(s.Swz[3])),
-	}
-	if s.Neg {
-		out = out.Scale(-1)
-	}
-	return out
+// In returns the input registers v0..v7.
+func (e *Exec) In() *[MaxInputs]geom.Vec4 {
+	return (*[MaxInputs]geom.Vec4)(e.regs[inputBase : inputBase+MaxInputs])
 }
 
-func (e *Exec) write(d Dst, v geom.Vec4) {
-	var reg *geom.Vec4
-	if d.File == FileOutput {
-		reg = &e.Out[d.Idx]
-	} else {
-		reg = &e.temps[d.Idx]
+// Out returns the output registers o0..o3. Run does not clear them, so a
+// lane no instruction writes keeps its previous value.
+func (e *Exec) Out() *[MaxOutputs]geom.Vec4 {
+	return (*[MaxOutputs]geom.Vec4)(e.regs[outputBase : outputBase+MaxOutputs])
+}
+
+// SetConsts copies consts into c0.. and zeroes the constant registers past
+// len(consts), so unbound uniforms read as zero.
+//
+//re:hotpath
+func (e *Exec) SetConsts(consts []geom.Vec4) {
+	bank := e.regs[constBase : constBase+MaxConsts]
+	clear(bank[copy(bank, consts):])
+}
+
+// operand fetches source s of in from the register file, swizzling and
+// negating only where the program asks for it.
+func (in *instr) operand(regs *[numRegs]geom.Vec4, s uint) geom.Vec4 {
+	v := regs[in.src[s]]
+	if in.ident>>s&1 == 0 {
+		lanes := [4]float32{v.X, v.Y, v.Z, v.W}
+		sw := &in.swz[s]
+		v = geom.Vec4{X: lanes[sw[0]&3], Y: lanes[sw[1]&3], Z: lanes[sw[2]&3], W: lanes[sw[3]&3]}
 	}
-	mask := d.Mask
-	if mask == 0 || mask == MaskXYZW {
-		*reg = v
-		return
+	if in.neg>>s&1 != 0 {
+		v = v.Scale(-1)
 	}
-	if mask&MaskX != 0 {
-		reg.X = v.X
-	}
-	if mask&MaskY != 0 {
-		reg.Y = v.Y
-	}
-	if mask&MaskZ != 0 {
-		reg.Z = v.Z
-	}
-	if mask&MaskW != 0 {
-		reg.W = v.W
-	}
+	return v
 }
 
 func splat(v float32) geom.Vec4 { return geom.Vec4{X: v, Y: v, Z: v, W: v} }
 
-// Run executes p against the current inputs/constants. The temporaries are
-// zeroed first so invocations are independent and deterministic.
-func (e *Exec) Run(p *Program) {
-	e.temps = [MaxTemps]geom.Vec4{}
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		a := e.read(in.Src[0])
+// Run executes code against the current inputs and constants. The
+// temporaries are zeroed first so invocations are independent and
+// deterministic.
+//
+//re:hotpath
+func (e *Exec) Run(code Code) {
+	regs := &e.regs
+	clear(regs[tempBase : tempBase+MaxTemps])
+	for i := range code {
+		in := &code[i]
+		a := in.operand(regs, 0)
 		var b, c geom.Vec4
-		if nsrc[in.Op] > 1 {
-			b = e.read(in.Src[1])
+		if in.nsrc > 1 {
+			b = in.operand(regs, 1)
 		}
-		if nsrc[in.Op] > 2 {
-			c = e.read(in.Src[2])
+		if in.nsrc > 2 {
+			c = in.operand(regs, 2)
 		}
 		var r geom.Vec4
-		switch in.Op {
+		switch in.op {
 		case OpMov:
 			r = a
 		case OpAdd:
@@ -350,12 +398,30 @@ func (e *Exec) Run(p *Program) {
 		case OpCmp:
 			r = geom.Vec4{X: cmp(a.X, b.X, c.X), Y: cmp(a.Y, b.Y, c.Y), Z: cmp(a.Z, b.Z, c.Z), W: cmp(a.W, b.W, c.W)}
 		case OpTex:
-			r = e.Sampler.Sample(int(in.TexUnit), a.X, a.Y)
+			if e.Sampler != nil {
+				r = e.Sampler.Sample(int(in.unit), a.X, a.Y)
+			}
 			e.Counts.TexSamples++
 		}
-		e.write(in.Dst, r)
+		d := &regs[in.dst]
+		if in.full {
+			*d = r
+			continue
+		}
+		if in.mask&MaskX != 0 {
+			d.X = r.X
+		}
+		if in.mask&MaskY != 0 {
+			d.Y = r.Y
+		}
+		if in.mask&MaskZ != 0 {
+			d.Z = r.Z
+		}
+		if in.mask&MaskW != 0 {
+			d.W = r.W
+		}
 	}
-	e.Counts.Instructions += uint64(len(p.Instrs))
+	e.Counts.Instructions += uint64(len(code))
 	e.Counts.Invocations++
 }
 

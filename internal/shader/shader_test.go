@@ -1,6 +1,7 @@
 package shader
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -23,7 +24,7 @@ func run(t *testing.T, p *Program, setup func(*Exec)) *Exec {
 	if setup != nil {
 		setup(e)
 	}
-	e.Run(p)
+	e.Run(p.Decode(nil))
 	return e
 }
 
@@ -55,12 +56,12 @@ func TestOpSemantics(t *testing.T) {
 		p := &Program{Name: "t", Instrs: []Instr{
 			{Op: tc.op, Dst: OD(0), Src: [3]Src{V(0), V(1), V(2)}},
 		}}
-		e := run(t, p, func(e *Exec) { e.In[0], e.In[1], e.In[2] = a, b, c })
+		e := run(t, p, func(e *Exec) { e.In()[0], e.In()[1], e.In()[2] = a, b, c })
 		if tc.op == OpRcp || tc.op == OpRsq {
 			// a.X == 1 so both are exactly 1.
 		}
-		if e.Out[0] != tc.want {
-			t.Errorf("%v: got %v, want %v", tc.op, e.Out[0], tc.want)
+		if e.Out()[0] != tc.want {
+			t.Errorf("%v: got %v, want %v", tc.op, e.Out()[0], tc.want)
 		}
 	}
 }
@@ -69,10 +70,10 @@ func TestOpTexCountsSamples(t *testing.T) {
 	p := &Program{Name: "t", Instrs: []Instr{
 		{Op: OpTex, Dst: OD(0), Src: [3]Src{V(0)}, TexUnit: 2},
 	}}
-	e := run(t, p, func(e *Exec) { e.In[0] = geom.V4(0.25, 0.75, 0, 0) })
+	e := run(t, p, func(e *Exec) { e.In()[0] = geom.V4(0.25, 0.75, 0, 0) })
 	want := geom.V4(0.5+2, 0.5+0.25, 0.5+0.75, 1)
-	if e.Out[0] != want {
-		t.Fatalf("tex result %v, want %v", e.Out[0], want)
+	if e.Out()[0] != want {
+		t.Fatalf("tex result %v, want %v", e.Out()[0], want)
 	}
 	if e.Counts.TexSamples != 1 || e.Counts.Instructions != 1 || e.Counts.Invocations != 1 {
 		t.Fatalf("counts = %+v", e.Counts)
@@ -83,9 +84,9 @@ func TestSwizzleAndNegate(t *testing.T) {
 	p := &Program{Name: "t", Instrs: []Instr{
 		{Op: OpMov, Dst: OD(0), Src: [3]Src{V(0).Swizzled(Swz(3, 2, 1, 0)).Negated()}},
 	}}
-	e := run(t, p, func(e *Exec) { e.In[0] = geom.V4(1, 2, 3, 4) })
-	if e.Out[0] != geom.V4(-4, -3, -2, -1) {
-		t.Fatalf("swizzle+neg = %v", e.Out[0])
+	e := run(t, p, func(e *Exec) { e.In()[0] = geom.V4(1, 2, 3, 4) })
+	if e.Out()[0] != geom.V4(-4, -3, -2, -1) {
+		t.Fatalf("swizzle+neg = %v", e.Out()[0])
 	}
 }
 
@@ -96,11 +97,11 @@ func TestWriteMask(t *testing.T) {
 		{Op: OpMov, Dst: OD(0), Src: [3]Src{R(0)}},
 	}}
 	e := run(t, p, func(e *Exec) {
-		e.In[0] = geom.V4(1, 2, 3, 4)
-		e.In[1] = geom.V4(9, 9, 9, 9)
+		e.In()[0] = geom.V4(1, 2, 3, 4)
+		e.In()[1] = geom.V4(9, 9, 9, 9)
 	})
-	if e.Out[0] != geom.V4(1, 9, 3, 9) {
-		t.Fatalf("masked write = %v", e.Out[0])
+	if e.Out()[0] != geom.V4(1, 9, 3, 9) {
+		t.Fatalf("masked write = %v", e.Out()[0])
 	}
 }
 
@@ -121,10 +122,10 @@ func TestTempsZeroedBetweenRuns(t *testing.T) {
 		{Op: OpAdd, Dst: RD(0), Src: [3]Src{R(0), V(0)}},
 		{Op: OpMov, Dst: OD(0), Src: [3]Src{R(0)}},
 	}}
-	e := run(t, p, func(e *Exec) { e.In[0] = geom.V4(1, 1, 1, 1) })
-	e.Run(p)
-	if e.Out[0] != geom.V4(1, 1, 1, 1) {
-		t.Fatalf("temps leaked across invocations: %v", e.Out[0])
+	e := run(t, p, func(e *Exec) { e.In()[0] = geom.V4(1, 1, 1, 1) })
+	e.Run(p.Decode(nil))
+	if e.Out()[0] != geom.V4(1, 1, 1, 1) {
+		t.Fatalf("temps leaked across invocations: %v", e.Out()[0])
 	}
 }
 
@@ -151,7 +152,7 @@ func TestStdProgramsValidateAndCount(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
-		if p.Len() == 0 {
+		if len(p.Instrs) == 0 {
 			t.Errorf("%s: empty program", p.Name)
 		}
 	}
@@ -161,37 +162,39 @@ func TestTransformVSTransformsPosition(t *testing.T) {
 	mvp := geom.Translate(geom.V3(10, 20, 30))
 	p := TransformVS(2)
 	e := run(t, p, func(e *Exec) {
-		e.Consts = []geom.Vec4{mvp.Row(0), mvp.Row(1), mvp.Row(2), mvp.Row(3)}
-		e.In[0] = geom.V4(1, 2, 3, 1)
-		e.In[1] = geom.V4(0.1, 0.2, 0.3, 0.4)
-		e.In[2] = geom.V4(0.5, 0.6, 0, 0)
+		e.SetConsts([]geom.Vec4{mvp.Row(0), mvp.Row(1), mvp.Row(2), mvp.Row(3)})
+		e.In()[0] = geom.V4(1, 2, 3, 1)
+		e.In()[1] = geom.V4(0.1, 0.2, 0.3, 0.4)
+		e.In()[2] = geom.V4(0.5, 0.6, 0, 0)
 	})
-	if e.Out[0] != geom.V4(11, 22, 33, 1) {
-		t.Fatalf("position = %v", e.Out[0])
+	if e.Out()[0] != geom.V4(11, 22, 33, 1) {
+		t.Fatalf("position = %v", e.Out()[0])
 	}
-	if e.Out[1] != geom.V4(0.1, 0.2, 0.3, 0.4) || e.Out[2] != geom.V4(0.5, 0.6, 0, 0) {
-		t.Fatalf("varyings = %v %v", e.Out[1], e.Out[2])
+	if e.Out()[1] != geom.V4(0.1, 0.2, 0.3, 0.4) || e.Out()[2] != geom.V4(0.5, 0.6, 0, 0) {
+		t.Fatalf("varyings = %v %v", e.Out()[1], e.Out()[2])
 	}
 }
 
 func TestFlatFSAndTexturedFS(t *testing.T) {
 	tint := geom.V4(0.5, 1, 0.25, 1)
 	e := run(t, FlatFS(), func(e *Exec) {
-		e.Consts = make([]geom.Vec4, 8)
-		e.Consts[4] = tint
+		consts := make([]geom.Vec4, 8)
+		consts[4] = tint
+		e.SetConsts(consts)
 	})
-	if e.Out[0] != tint {
-		t.Fatalf("flat = %v", e.Out[0])
+	if e.Out()[0] != tint {
+		t.Fatalf("flat = %v", e.Out()[0])
 	}
 
 	e = run(t, TexturedFS(), func(e *Exec) {
-		e.Consts = make([]geom.Vec4, 8)
-		e.Consts[4] = geom.V4(1, 1, 1, 1)
-		e.In[2] = geom.V4(0.5, 0.5, 0, 0)
+		consts := make([]geom.Vec4, 8)
+		consts[4] = geom.V4(1, 1, 1, 1)
+		e.SetConsts(consts)
+		e.In()[2] = geom.V4(0.5, 0.5, 0, 0)
 	})
 	want := geom.V4(0.5, 1, 1, 1) // fixedSampler(unit 0, 0.5, 0.5) saturated
-	if e.Out[0] != want {
-		t.Fatalf("textured = %v, want %v", e.Out[0], want)
+	if e.Out()[0] != want {
+		t.Fatalf("textured = %v, want %v", e.Out()[0], want)
 	}
 	if e.Counts.TexSamples != 1 {
 		t.Fatalf("tex samples = %d", e.Counts.TexSamples)
@@ -204,19 +207,19 @@ func TestLambertDarkAndLit(t *testing.T) {
 	consts[5] = geom.V4(0, 0, 1, 0.25) // light +z, ambient 0.25
 
 	lit := run(t, LambertTexFS(), func(e *Exec) {
-		e.Consts = consts
-		e.In[1] = geom.V4(0, 0, 1, 0) // normal facing light
-		e.In[2] = geom.V4(0, 0, 0, 0)
+		e.SetConsts(consts)
+		e.In()[1] = geom.V4(0, 0, 1, 0) // normal facing light
+		e.In()[2] = geom.V4(0, 0, 0, 0)
 	})
 	dark := run(t, LambertTexFS(), func(e *Exec) {
-		e.Consts = consts
-		e.In[1] = geom.V4(0, 0, -1, 0) // facing away -> ambient only
-		e.In[2] = geom.V4(0, 0, 0, 0)
+		e.SetConsts(consts)
+		e.In()[1] = geom.V4(0, 0, -1, 0) // facing away -> ambient only
+		e.In()[2] = geom.V4(0, 0, 0, 0)
 	})
-	if lit.Out[0].X <= dark.Out[0].X {
-		t.Fatalf("lit %v not brighter than dark %v", lit.Out[0], dark.Out[0])
+	if lit.Out()[0].X <= dark.Out()[0].X {
+		t.Fatalf("lit %v not brighter than dark %v", lit.Out()[0], dark.Out()[0])
 	}
-	if dark.Out[0].X == 0 {
+	if dark.Out()[0].X == 0 {
 		t.Fatal("ambient floor missing")
 	}
 }
@@ -227,13 +230,14 @@ func TestQuickDeterminism(t *testing.T) {
 	f := func(in1, in2 [4]float32, tint [4]float32) bool {
 		mk := func() geom.Vec4 {
 			e := &Exec{Sampler: fixedSampler{geom.V4(0.5, 0.5, 0.5, 1)}}
-			e.Consts = make([]geom.Vec4, 8)
-			e.Consts[4] = geom.V4(tint[0], tint[1], tint[2], tint[3])
-			e.Consts[5] = geom.V4(0.3, 0.3, 0.9, 0.2)
-			e.In[1] = geom.V4(in1[0], in1[1], in1[2], in1[3])
-			e.In[2] = geom.V4(in2[0], in2[1], in2[2], in2[3])
-			e.Run(p)
-			return e.Out[0]
+			consts := make([]geom.Vec4, 8)
+			consts[4] = geom.V4(tint[0], tint[1], tint[2], tint[3])
+			consts[5] = geom.V4(0.3, 0.3, 0.9, 0.2)
+			e.SetConsts(consts)
+			e.In()[1] = geom.V4(in1[0], in1[1], in1[2], in1[3])
+			e.In()[2] = geom.V4(in2[0], in2[1], in2[2], in2[3])
+			e.Run(p.Decode(nil))
+			return e.Out()[0]
 		}
 		a, b := mk(), mk()
 		return a == b || (a != a) == (b != b) // NaN-tolerant equality
@@ -252,5 +256,42 @@ func TestOpAndFileStrings(t *testing.T) {
 	}
 	if FileTemp.String() != "r" || FileConst.String() != "c" || File(9).String() != "?" {
 		t.Fatal("file names wrong")
+	}
+}
+
+// A nil Sampler (the vertex stage binds no texture units) samples zero but
+// still counts the sample.
+func TestTexWithoutSamplerIsZero(t *testing.T) {
+	p := &Program{Name: "t", Instrs: []Instr{
+		{Op: OpTex, Dst: OD(0), Src: [3]Src{V(0)}, TexUnit: 1},
+	}}
+	e := &Exec{}
+	e.Out()[0] = geom.V4(1, 2, 3, 4)
+	e.In()[0] = geom.V4(0.5, 0.5, 0, 0)
+	e.Run(p.Decode(nil))
+	if e.Out()[0] != (geom.Vec4{}) || e.Counts.TexSamples != 1 {
+		t.Fatalf("tex without sampler = %v, samples %d", e.Out()[0], e.Counts.TexSamples)
+	}
+}
+
+func BenchmarkExecRun(b *testing.B) {
+	consts := make([]geom.Vec4, MaxConsts)
+	for i := range consts {
+		consts[i] = geom.V4(float32(i)*0.1, 0.5, -0.25, 1)
+	}
+	for _, p := range StdPrograms() {
+		b.Run(fmt.Sprintf("%s-%d", p.Name, len(p.Instrs)), func(b *testing.B) {
+			e := &Exec{Sampler: fixedSampler{geom.V4(0.5, 0.5, 0.5, 1)}}
+			e.SetConsts(consts)
+			in := e.In()
+			for i := range in {
+				in[i] = geom.V4(0.25, float32(i)*0.125, 0.75, 1)
+			}
+			code := p.Decode(nil)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.Run(code)
+			}
+		})
 	}
 }

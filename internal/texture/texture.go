@@ -92,14 +92,17 @@ func PackColor(c geom.Vec4) uint32 {
 	return r | g<<8 | b<<16 | a<<24
 }
 
+// unorm8[i] is float32(i)/255, the float value of an 8-bit channel.
+var unorm8 = func() (t [256]float32) {
+	for i := range t {
+		t[i] = float32(i) / 255
+	}
+	return t
+}()
+
 // UnpackColor converts packed RGBA8 to a float color.
 func UnpackColor(p uint32) geom.Vec4 {
-	return geom.V4(
-		float32(p&0xFF)/255,
-		float32(p>>8&0xFF)/255,
-		float32(p>>16&0xFF)/255,
-		float32(p>>24&0xFF)/255,
-	)
+	return geom.V4(unorm8[p&0xFF], unorm8[p>>8&0xFF], unorm8[p>>16&0xFF], unorm8[p>>24])
 }
 
 // TexelVisitor receives the address of every texel a sample touches, so the

@@ -1,6 +1,7 @@
 package texture
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +15,21 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The lookup table must be bit-identical to the division it replaced, in
+// every channel.
+func TestUnpackColorTableMatchesDivision(t *testing.T) {
+	for i := uint32(0); i < 256; i++ {
+		want := float32(i) / 255
+		if got := unorm8[i]; math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("unorm8[%d] = %v, want %v", i, got, want)
+		}
+		c := UnpackColor(i | (255-i)<<8 | i<<16 | (255-i)<<24)
+		if c.X != want || c.Y != float32(255-i)/255 || c.Z != want || c.W != float32(255-i)/255 {
+			t.Fatalf("UnpackColor lanes for %d = %v", i, c)
+		}
 	}
 }
 

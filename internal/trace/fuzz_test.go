@@ -22,6 +22,7 @@ func seedTraces(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	f.Add(badUploadTrace(f))
 	f.Add([]byte(Magic))
 	f.Add([]byte("RDLM\x01\x00\x00\x00"))
 	f.Add([]byte{})

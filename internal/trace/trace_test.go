@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rendelim/internal/api"
+	"rendelim/internal/shader"
 	"rendelim/internal/workload"
 )
 
@@ -110,6 +111,28 @@ func TestDecodeRejectsUnknownCommandTag(t *testing.T) {
 	data[len(data)-2] = 200 // overwrite the command tag
 	if _, err := Decode(bytes.NewReader(data)); err == nil {
 		t.Fatal("unknown tag accepted")
+	}
+}
+
+// badUploadTrace encodes a trace whose frame uploads a program writing temp
+// register 200, past the VM's register file.
+func badUploadTrace(t testing.TB) []byte {
+	t.Helper()
+	tr := &api.Trace{Name: "x", Width: 16, Height: 16, Programs: []*shader.Program{shader.FlatFS()}}
+	tr.Frames = []api.Frame{{Commands: []api.Command{api.UploadProgram{ID: 1, Program: &shader.Program{
+		Name:   "wild",
+		Instrs: []shader.Instr{{Op: shader.OpMov, Dst: shader.RD(200), Src: [3]shader.Src{shader.V(0)}}},
+	}}}}}
+	var buf bytes.Buffer
+	if err := Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestDecodeRejectsInvalidUpload(t *testing.T) {
+	if _, err := Decode(bytes.NewReader(badUploadTrace(t))); err == nil || !strings.Contains(err.Error(), "temp dst 200") {
+		t.Fatalf("invalid upload: err = %v, want the program's validation error", err)
 	}
 }
 
