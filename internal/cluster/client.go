@@ -153,16 +153,17 @@ func isJSON(ct string) bool {
 
 // rtEntry is one cached completed-job reply.
 type rtEntry struct {
-	key     jobs.Key
 	reply   *Reply
 	expires time.Time
 }
 
-// readThrough is a TTL+LRU cache of *completed* replies a non-owner has
+// readThrough is a TTL+FIFO cache of *completed* replies a non-owner has
 // seen from owners, so repeated submissions of a hot signature are served
 // locally without even a forwarded hop. Entries expire after the TTL — the
 // owner remains the source of truth; this is a bounded staleness window,
 // the cluster analogue of the simulator's refresh interval.
+//
+// order holds each key of index exactly once, oldest put first.
 type readThrough struct {
 	mu    sync.Mutex
 	cap   int
@@ -184,27 +185,38 @@ func (r *readThrough) get(key jobs.Key) *Reply {
 		return nil
 	}
 	if time.Now().After(e.expires) {
-		delete(r.index, key)
+		r.remove(key)
 		return nil
 	}
 	return e.reply
 }
 
-// put caches a completed reply under key.
+// put caches a completed reply under key as the newest entry, evicting the
+// entry put longest ago when the cache is full.
 func (r *readThrough) put(key jobs.Key, reply *Reply) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.remove(key)
+	if len(r.order) >= r.cap {
+		delete(r.index, r.order[0])
+		r.order = r.order[1:]
+	}
+	r.order = append(r.order, key)
+	r.index[key] = &rtEntry{reply: reply, expires: time.Now().Add(r.ttl)}
+}
+
+// remove drops key from index and order. The caller holds r.mu.
+func (r *readThrough) remove(key jobs.Key) {
 	if _, ok := r.index[key]; !ok {
-		r.order = append(r.order, key)
-		for len(r.index) >= r.cap && len(r.order) > 0 {
-			old := r.order[0]
-			r.order = r.order[1:]
-			if old != key {
-				delete(r.index, old)
-			}
+		return
+	}
+	delete(r.index, key)
+	for i, k := range r.order {
+		if k == key {
+			r.order = append(r.order[:i], r.order[i+1:]...)
+			return
 		}
 	}
-	r.index[key] = &rtEntry{key: key, reply: reply, expires: time.Now().Add(r.ttl)}
 }
 
 func (r *readThrough) len() int {

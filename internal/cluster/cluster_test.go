@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rendelim/internal/apihttp"
+	"rendelim/internal/jobs"
 	"rendelim/internal/obs"
 )
 
@@ -247,6 +248,59 @@ func TestReadThroughTTLAndBounds(t *testing.T) {
 	time.Sleep(40 * time.Millisecond)
 	if rt.get(k3) != nil {
 		t.Error("k3 survived past TTL")
+	}
+}
+
+// An expired entry must leave the FIFO order along with the index: order
+// holds each cached key once, and a put evicts the entry put longest ago.
+func TestReadThroughExpiryKeepsOrderExact(t *testing.T) {
+	expire := func(rt *readThrough, k jobs.Key) {
+		if e := rt.index[k]; e != nil {
+			e.expires = time.Now().Add(-time.Second)
+		}
+	}
+	check := func(rt *readThrough) {
+		t.Helper()
+		if len(rt.order) != len(rt.index) || len(rt.index) > rt.cap {
+			t.Fatalf("len(order) = %d, len(index) = %d, cap %d", len(rt.order), len(rt.index), rt.cap)
+		}
+		for _, k := range rt.order {
+			if rt.index[k] == nil {
+				t.Fatalf("order holds %v, which is not cached", k)
+			}
+		}
+	}
+
+	// Hot keys that outlive the TTL must not grow order.
+	rt := newReadThrough(4, time.Minute)
+	for i := 0; i < 1000; i++ {
+		k := testKey(i % 3)
+		rt.put(k, &Reply{StatusCode: 200})
+		expire(rt, k)
+		if rt.get(k) != nil {
+			t.Fatal("expired entry served")
+		}
+		check(rt)
+	}
+
+	// A re-put after expiry is the newest entry, so C evicts B, not A.
+	rt = newReadThrough(2, time.Minute)
+	a, b, c := testKey(1), testKey(2), testKey(3)
+	rt.put(a, &Reply{StatusCode: 200})
+	expire(rt, a)
+	rt.get(a)
+	rt.put(b, &Reply{StatusCode: 200})
+	rt.put(a, &Reply{StatusCode: 200})
+	rt.put(c, &Reply{StatusCode: 200})
+	check(rt)
+	if rt.get(a) == nil {
+		t.Error("fresh A evicted")
+	}
+	if rt.get(b) != nil {
+		t.Error("older B kept")
+	}
+	if rt.get(c) == nil {
+		t.Error("C missing right after put")
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 //
 // These tests are the enforcement teeth: they fail the build if a change
 // reintroduces allocator churn into the frame loop, before it ever shows up
-// as a rebench regression.
+// in the benchmark's steady-state allocs per frame.
 
 // warmSim builds a simulator and runs the whole trace through it twice, so
 // every pooled buffer (access logs, binner bins, geometry scratch, memo

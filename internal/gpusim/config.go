@@ -12,7 +12,6 @@ import (
 
 	"rendelim/internal/cache"
 	"rendelim/internal/dram"
-	"rendelim/internal/energy"
 	"rendelim/internal/fault"
 	"rendelim/internal/obs"
 	"rendelim/internal/rerr"
@@ -80,9 +79,8 @@ type Config struct {
 	// Technique under test.
 	Technique Technique
 
-	// Timing and energy models.
+	// Timing and DRAM models.
 	Timing timing.Params
-	Energy energy.Params
 	DRAM   dram.Config
 
 	// Cache geometries (Table I).
@@ -107,11 +105,6 @@ type Config struct {
 	// 32-bit hash discarding screen coordinates, 2 frames in parallel).
 	MemoLUTEntries int
 	MemoLUTWays    int
-
-	// EnableEqualInputDiffColorCheck controls the (expensive) invariant
-	// assertion that a signature match never pairs with a color change;
-	// only meaningful for Baseline runs, where everything renders.
-	TrackGroundTruth bool
 
 	// Tracer, when non-nil, records a Chrome trace-event timeline of the
 	// run: one span per frame with nested per-stage spans and instant
@@ -142,7 +135,6 @@ func DefaultConfig() Config {
 	return Config{
 		Technique: Baseline,
 		Timing:    timing.Default(),
-		Energy:    energy.Default(),
 		DRAM:      dram.Default(),
 		VertexCache: cache.Config{
 			Name: "vertex", LineBytes: 64, Ways: 2, SizeBytes: 4 << 10, Banks: 1, Latency: 1,
@@ -156,11 +148,10 @@ func DefaultConfig() Config {
 		L2Cache: cache.Config{
 			Name: "l2", LineBytes: 64, Ways: 8, SizeBytes: 256 << 10, Banks: 8, Latency: 2,
 		},
-		Sig:              sig.DefaultConfig(),
-		RefreshInterval:  0,
-		MemoLUTEntries:   2048,
-		MemoLUTWays:      4,
-		TrackGroundTruth: true,
+		Sig:             sig.DefaultConfig(),
+		RefreshInterval: 0,
+		MemoLUTEntries:  2048,
+		MemoLUTWays:     4,
 	}
 }
 

@@ -154,21 +154,14 @@ type FragmentFunc func(frag *Fragment)
 // occupancy in Table I. May be nil.
 type QuadFunc func(qx, qy int, mask uint8)
 
-// Rasterize traverses the triangle restricted to rect (a tile, typically),
-// emitting covered fragments in quad order with perspective-correct
-// varyings. Coverage follows the top-left rule so shared edges are drawn
-// exactly once.
+// RasterizeInto traverses the triangle restricted to rect (a tile,
+// typically), emitting covered fragments in quad order with
+// perspective-correct varyings. Coverage follows the top-left rule so
+// shared edges are drawn exactly once.
 //
-// It allocates one Fragment per call; steady-state callers should hold a
-// Fragment in reusable scratch and use RasterizeInto instead.
-func (st *ScreenTri) Rasterize(rect geom.Rect, onQuad QuadFunc, emit FragmentFunc) {
-	var frag Fragment
-	st.RasterizeInto(rect, &frag, onQuad, emit)
-}
-
-// RasterizeInto is Rasterize with caller-provided fragment scratch: frag is
-// overwritten for every covered pixel and passed to emit, so the traversal
-// itself never allocates. emit must not retain the pointer past its return.
+// frag is caller-provided scratch: it is overwritten for every covered
+// pixel and passed to emit, so the traversal itself never allocates. emit
+// must not retain the pointer past its return.
 func (st *ScreenTri) RasterizeInto(rect geom.Rect, frag *Fragment, onQuad QuadFunc, emit FragmentFunc) {
 	bb := st.BBox(rect)
 	if bb.Empty() {

@@ -349,8 +349,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// A request that already carries the forward header is processed locally
 	// unconditionally — divergent ring views must never bounce a job around.
 	if s.cluster != nil && r.Header.Get(cluster.ForwardHeader) == "" {
-		if owner := s.cluster.Owner(spec.Key()); !s.cluster.IsSelf(owner) {
-			if s.forwardSubmit(w, r, owner, spec.Key(), body, ct) {
+		key := spec.Key()
+		if owner := s.cluster.Owner(key); !s.cluster.IsSelf(owner) {
+			if s.forwardSubmit(w, r, owner, key, body, ct) {
 				return
 			}
 			// Owner unreachable: degraded mode — fall through and simulate

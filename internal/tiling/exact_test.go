@@ -50,7 +50,8 @@ func TestExactBinningSoundAndTighter(t *testing.T) {
 
 		// Soundness: every tile with a covered fragment must be binned.
 		covered := map[int]bool{}
-		st.Rasterize(geom.Rect{X0: 0, Y0: 0, X1: W, Y1: H}, nil, func(f *rast.Fragment) {
+		var frag rast.Fragment
+		st.RasterizeInto(geom.Rect{X0: 0, Y0: 0, X1: W, Y1: H}, &frag, nil, func(f *rast.Fragment) {
 			covered[(f.Y/fb.TileSize)*(W/fb.TileSize)+f.X/fb.TileSize] = true
 		})
 		for tile := range covered {

@@ -26,7 +26,7 @@ func WithTechnique(t Technique) Option {
 }
 
 // WithConfig replaces the entire configuration with cfg, for callers that
-// build a gpusim.Config directly (custom cache geometries, timing or energy
+// build a gpusim.Config directly (custom cache geometries, timing or DRAM
 // parameters). Options after it still apply on top.
 func WithConfig(cfg Config) Option {
 	return func(c *gpusim.Config) { *c = cfg }
@@ -63,13 +63,6 @@ func WithExactBinning(exact bool) Option {
 // default) never forces a refresh.
 func WithRefreshInterval(n int) Option {
 	return func(c *gpusim.Config) { c.RefreshInterval = n }
-}
-
-// WithGroundTruth toggles the ground-truth tile classification (equal
-// colors vs. equal inputs, Figure 15a). It is on by default; switching it
-// off skips the per-tile back-buffer comparison.
-func WithGroundTruth(track bool) Option {
-	return func(c *gpusim.Config) { c.TrackGroundTruth = track }
 }
 
 // buildConfig folds opts over the Table I defaults.
