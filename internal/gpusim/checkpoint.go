@@ -2,7 +2,6 @@ package gpusim
 
 import (
 	"fmt"
-	"slices"
 
 	"rendelim/internal/api"
 	"rendelim/internal/cache"
@@ -12,19 +11,22 @@ import (
 	"rendelim/internal/fb"
 	"rendelim/internal/shader"
 	"rendelim/internal/sig"
-	"rendelim/internal/texture"
 )
 
-// Checkpoint is a frame-boundary snapshot of every piece of cross-frame
-// simulator state: the double-buffered framebuffer, the RE controller with
-// its Signature Buffer, the TE signature buffer and CRC counters, the
-// memoization baselines, the DRAM row-buffer state, all cache tag/LRU
-// arrays, the upload-mutable program/texture tables, the API state, and the
-// counters. A run restored from a checkpoint is byte-identical — same
-// per-frame stats, same pixels — to one that ran straight through, because
-// frame statistics are computed as deltas of these counters and every
-// timing-relevant structure (cache LRU clocks, DRAM open rows, signature
-// parity) is captured.
+// Checkpoint is a frame-boundary snapshot of the cross-frame simulator state
+// the trace cannot rebuild: the double-buffered framebuffer, the RE
+// controller with its Signature Buffer, the TE signature buffer and CRC
+// counters, the memoization baselines, the DRAM row-buffer state, all cache
+// tag/LRU arrays, and the counters. A run restored from a checkpoint is
+// byte-identical — same per-frame stats, same pixels — to one that ran
+// straight through, because frame statistics are computed as deltas of these
+// counters and every timing-relevant structure (cache LRU clocks, DRAM open
+// rows, signature parity) is captured.
+//
+// The program and texture tables and the API state are not captured: they
+// are a pure function of the trace and the frame index, which traceSig and
+// frameIdx pin, so Resume rebuilds them by replaying the non-draw commands
+// of the frames the checkpoint covers.
 //
 // Frame boundaries are the natural checkpoint for the same reason they are
 // RE's comparison point: RunFrame never leaves state half-committed
@@ -43,11 +45,10 @@ type Checkpoint struct {
 	technique Technique
 	traceSig  uint32 // guards against restoring across different traces
 
-	fbuf     fb.Snapshot
-	stateVal api.State // value copy; api.State holds no reference types
-	re       core.Snapshot
-	teBuf    sig.BufferSnapshot
-	teCRC    crc.UnitStats
+	fbuf  fb.Snapshot
+	re    core.Snapshot
+	teBuf sig.BufferSnapshot
+	teCRC crc.UnitStats
 
 	// memoPrev is a compact deep copy of the per-tile memoization
 	// baselines. The live tables are pooled and mutated again on later
@@ -59,9 +60,6 @@ type Checkpoint struct {
 
 	dram   dram.Snapshot
 	caches []cache.Snapshot // vcache, tcache[0..3], tilecache, l2
-
-	programs []*shader.Program // by program ID; nil for an ID never uploaded
-	textures []*texture.Texture
 
 	vsCounts   shader.Counts
 	skipCounts []uint32
@@ -98,19 +96,12 @@ func (s *Simulator) Checkpoint() *Checkpoint {
 
 		dram: s.dram.Snapshot(),
 
-		programs: make([]*shader.Program, len(s.programs)),
-		textures: append([]*texture.Texture(nil), s.textures...),
-
 		vsCounts:   s.vsExec.Counts,
 		skipCounts: append([]uint32(nil), s.skipCounts...),
-	}
-	for i := range s.programs {
-		cp.programs[i] = s.programs[i].prog
 	}
 	for _, c := range s.checkpointCaches() {
 		cp.caches = append(cp.caches, c.Snapshot())
 	}
-	cp.stateVal = *s.state
 	return cp
 }
 
@@ -141,13 +132,8 @@ func (s *Simulator) Resume(cp *Checkpoint) error {
 	if got, want := len(cp.fbuf.Bufs[0]), s.trace.Width*s.trace.Height; got != want {
 		return fmt.Errorf("gpusim: checkpoint framebuffer has %d pixels, simulator has %d", got, want)
 	}
-	for i, p := range cp.programs {
-		if p == nil {
-			continue
-		}
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("gpusim: checkpoint program %d: %w", i, err)
-		}
+	if cp.frameIdx < 0 || cp.frameIdx > len(s.trace.Frames) {
+		return fmt.Errorf("gpusim: checkpoint frame %d is outside the trace's %d frames", cp.frameIdx, len(s.trace.Frames))
 	}
 	s.fbuf.Restore(cp.fbuf)
 	s.re.Restore(cp.re)
@@ -163,23 +149,21 @@ func (s *Simulator) Resume(cp *Checkpoint) error {
 		c.Restore(cp.caches[i])
 	}
 
-	s.loadPrograms(cp.programs)
-	s.textures = append(s.textures[:0], cp.textures...)
-
 	s.vsExec.Counts = cp.vsCounts
 	copy(s.skipCounts, cp.skipCounts)
-	*s.state = cp.stateVal
 	s.frameIdx = cp.frameIdx
-	return nil
-}
 
-// loadPrograms refills the program table from progs, indexed by program ID,
-// reusing every slot's decode storage.
-func (s *Simulator) loadPrograms(progs []*shader.Program) {
-	s.programs = slices.Grow(s.programs[:0], len(progs))[:len(progs)]
-	for i, p := range progs {
-		s.programs[i].set(p)
+	s.resetTables()
+	*s.state = *api.NewState()
+	for i := range s.trace.Frames[:cp.frameIdx] {
+		s.state.BeginFrame()
+		for _, cmd := range s.trace.Frames[i].Commands {
+			if _, draw := cmd.(api.Draw); !draw {
+				s.apply(cmd)
+			}
+		}
 	}
+	return nil
 }
 
 // checkpointCaches lists every cache in a fixed order shared by Checkpoint

@@ -3,34 +3,34 @@ package gpusim
 import (
 	"fmt"
 
-	"rendelim/internal/api"
 	"rendelim/internal/cache"
 	"rendelim/internal/crc"
 	"rendelim/internal/dram"
 	"rendelim/internal/geom"
-	"rendelim/internal/shader"
 	"rendelim/internal/sig"
-	"rendelim/internal/texture"
 	"rendelim/internal/wire"
 )
 
 // Checkpoint wire format. The magic and version lead the blob so a decoder
 // can reject foreign files and future formats before touching anything else;
 // a trailing CRC32 over everything prior catches torn writes and bit rot
-// independently of whatever integrity the store layer adds. Version bumps
-// are append-only history: a v1 decoder must refuse v2 bytes (see
-// TestCheckpointCodecVersionRejected), never misparse them.
+// independently of whatever integrity the store layer adds. A decoder reads
+// only its own version and refuses every other (see
+// TestCheckpointCodecVersionRejected), never misparsing them. Version 2
+// dropped the program and texture tables and the API state, which Resume
+// replays from the trace; a version-1 blob fails to decode, and a job
+// whose stored checkpoint is one restarts from frame 0.
 const (
 	ckptMagic   = "RECK"
-	ckptVersion = uint16(1)
+	ckptVersion = uint16(2)
 )
 
 // ErrCheckpointFormat is wrapped by every DecodeCheckpoint failure: bad
 // magic, unknown version, CRC mismatch, or truncated/corrupt contents.
 var ErrCheckpointFormat = fmt.Errorf("gpusim: bad checkpoint format")
 
-// EncodeBinary serializes the checkpoint into a self-contained blob that
-// DecodeCheckpoint can restore in a fresh process. Together with the
+// EncodeBinary serializes the checkpoint into a blob that DecodeCheckpoint
+// can restore in a fresh process. Together with the
 // determinism of the simulator this is the crash-recovery contract: build a
 // new Simulator from the same trace and config, Resume the decoded
 // checkpoint, and the continued run is byte-identical to one that never
@@ -50,14 +50,6 @@ func (cp *Checkpoint) EncodeBinary() []byte {
 	b = wire.AppendI64(b, int64(cp.fbuf.Front))
 	b = wire.AppendU32s(b, cp.fbuf.Bufs[0])
 	b = wire.AppendU32s(b, cp.fbuf.Bufs[1])
-
-	// API state.
-	b = appendPipeline(b, cp.stateVal.Pipeline)
-	for _, v := range cp.stateVal.Uniforms {
-		b = appendVec4(b, v)
-	}
-	b = wire.AppendI64(b, int64(cp.stateVal.RenderTargets))
-	b = wire.AppendBool(b, cp.stateVal.UploadsThisFrame)
 
 	// RE controller.
 	b = appendUnitSnapshot(b, cp.re.Unit)
@@ -90,24 +82,6 @@ func (cp *Checkpoint) EncodeBinary() []byte {
 		b = cs.AppendBinary(b)
 	}
 
-	// Upload-mutable tables.
-	b = wire.AppendU32(b, uint32(len(cp.programs)))
-	for _, p := range cp.programs {
-		b = appendProgram(b, p)
-	}
-	// Each program's read masks follow. Resume recomputes them, but the
-	// encoding keeps them so the format is unchanged.
-	b = wire.AppendU32(b, uint32(len(cp.programs)))
-	for _, p := range cp.programs {
-		in, consts := p.ReadMasks()
-		b = wire.AppendU16(b, in)
-		b = wire.AppendU32(b, consts)
-	}
-	b = wire.AppendU32(b, uint32(len(cp.textures)))
-	for _, t := range cp.textures {
-		b = appendTexture(b, t)
-	}
-
 	// Counters.
 	b = wire.AppendU64(b, cp.vsCounts.Instructions)
 	b = wire.AppendU64(b, cp.vsCounts.TexSamples)
@@ -119,15 +93,9 @@ func (cp *Checkpoint) EncodeBinary() []byte {
 }
 
 // encodedSizeHint estimates the blob size to avoid re-allocation churn; the
-// framebuffer and textures dominate.
+// framebuffer dominates.
 func (cp *Checkpoint) encodedSizeHint() int {
-	n := 4096 + 4*(len(cp.fbuf.Bufs[0])+len(cp.fbuf.Bufs[1]))
-	for _, t := range cp.textures {
-		if t != nil {
-			n += 4 * len(t.Pix)
-		}
-	}
-	return n
+	return 4096 + 4*(len(cp.fbuf.Bufs[0])+len(cp.fbuf.Bufs[1]))
 }
 
 // DecodeCheckpoint parses a blob produced by EncodeBinary. Every failure
@@ -160,13 +128,6 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	cp.fbuf.Front = int(r.I64())
 	cp.fbuf.Bufs[0] = r.U32s()
 	cp.fbuf.Bufs[1] = r.U32s()
-
-	cp.stateVal.Pipeline = decodePipeline(r)
-	for i := range cp.stateVal.Uniforms {
-		cp.stateVal.Uniforms[i] = decodeVec4(r)
-	}
-	cp.stateVal.RenderTargets = int(r.I64())
-	cp.stateVal.UploadsThisFrame = r.Bool()
 
 	cp.re.Unit = decodeUnitSnapshot(r)
 	cp.re.FrameIdx = int(r.I64())
@@ -207,25 +168,6 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 		}
 	}
 
-	if n, ok := decodeCount(r, 1); ok {
-		cp.programs = make([]*shader.Program, n)
-		for i := range cp.programs {
-			cp.programs[i] = decodeProgram(r)
-		}
-	}
-	if n, ok := decodeCount(r, 6); ok {
-		for i := 0; i < n; i++ {
-			r.U16() // read masks: recomputed from the programs on Resume
-			r.U32()
-		}
-	}
-	if n, ok := decodeCount(r, 1); ok {
-		cp.textures = make([]*texture.Texture, n)
-		for i := range cp.textures {
-			cp.textures[i] = decodeTexture(r)
-		}
-	}
-
 	cp.vsCounts.Instructions = r.U64()
 	cp.vsCounts.TexSamples = r.U64()
 	cp.vsCounts.Invocations = r.U64()
@@ -261,32 +203,6 @@ func appendVec4(b []byte, v geom.Vec4) []byte {
 
 func decodeVec4(r *wire.Reader) geom.Vec4 {
 	return geom.Vec4{X: r.F32(), Y: r.F32(), Z: r.F32(), W: r.F32()}
-}
-
-func appendPipeline(b []byte, p api.SetPipeline) []byte {
-	b = wire.AppendU8(b, uint8(p.VS))
-	b = wire.AppendU8(b, uint8(p.FS))
-	for _, t := range p.Tex {
-		b = wire.AppendU8(b, uint8(t))
-	}
-	b = wire.AppendU8(b, uint8(p.Blend))
-	b = wire.AppendBool(b, p.DepthTest)
-	b = wire.AppendBool(b, p.DepthWrite)
-	return wire.AppendBool(b, p.CullBack)
-}
-
-func decodePipeline(r *wire.Reader) api.SetPipeline {
-	var p api.SetPipeline
-	p.VS = api.ProgramID(r.U8())
-	p.FS = api.ProgramID(r.U8())
-	for i := range p.Tex {
-		p.Tex[i] = api.TextureID(r.U8())
-	}
-	p.Blend = api.BlendMode(r.U8())
-	p.DepthTest = r.Bool()
-	p.DepthWrite = r.Bool()
-	p.CullBack = r.Bool()
-	return p
 }
 
 func appendUnitStats(b []byte, s crc.UnitStats) []byte {
@@ -377,78 +293,4 @@ func decodeUnitSnapshot(r *wire.Reader) sig.UnitSnapshot {
 	s.SUClock = r.U64()
 	s.Stats = decodeSigStats(r)
 	return s
-}
-
-func appendProgram(b []byte, p *shader.Program) []byte {
-	if p == nil {
-		return wire.AppendBool(b, false)
-	}
-	b = wire.AppendBool(b, true)
-	b = wire.AppendString(b, p.Name)
-	b = wire.AppendU32(b, uint32(len(p.Instrs)))
-	for _, in := range p.Instrs {
-		b = wire.AppendU8(b, uint8(in.Op))
-		b = wire.AppendU8(b, uint8(in.Dst.File))
-		b = wire.AppendU8(b, in.Dst.Idx)
-		b = wire.AppendU8(b, in.Dst.Mask)
-		for _, src := range in.Src {
-			b = wire.AppendU8(b, uint8(src.File))
-			b = wire.AppendU8(b, src.Idx)
-			b = append(b, src.Swz[0], src.Swz[1], src.Swz[2], src.Swz[3])
-			b = wire.AppendBool(b, src.Neg)
-		}
-		b = wire.AppendU8(b, in.TexUnit)
-	}
-	return b
-}
-
-func decodeProgram(r *wire.Reader) *shader.Program {
-	if !r.Bool() {
-		return nil
-	}
-	p := &shader.Program{Name: r.String()}
-	n, ok := decodeCount(r, 26)
-	if !ok {
-		return p
-	}
-	p.Instrs = make([]shader.Instr, n)
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		in.Op = shader.Op(r.U8())
-		in.Dst.File = shader.File(r.U8())
-		in.Dst.Idx = r.U8()
-		in.Dst.Mask = r.U8()
-		for s := range in.Src {
-			in.Src[s].File = shader.File(r.U8())
-			in.Src[s].Idx = r.U8()
-			in.Src[s].Swz = shader.Swizzle{r.U8(), r.U8(), r.U8(), r.U8()}
-			in.Src[s].Neg = r.Bool()
-		}
-		in.TexUnit = r.U8()
-	}
-	return p
-}
-
-func appendTexture(b []byte, t *texture.Texture) []byte {
-	if t == nil {
-		return wire.AppendBool(b, false)
-	}
-	b = wire.AppendBool(b, true)
-	b = wire.AppendI64(b, int64(t.ID))
-	b = wire.AppendI64(b, int64(t.W))
-	b = wire.AppendI64(b, int64(t.H))
-	b = wire.AppendU32s(b, t.Pix)
-	b = wire.AppendU8(b, uint8(t.Filter))
-	return wire.AppendU64(b, t.Base)
-}
-
-func decodeTexture(r *wire.Reader) *texture.Texture {
-	if !r.Bool() {
-		return nil
-	}
-	t := &texture.Texture{ID: int(r.I64()), W: int(r.I64()), H: int(r.I64())}
-	t.Pix = r.U32s()
-	t.Filter = texture.Filter(r.U8())
-	t.Base = r.U64()
-	return t
 }

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"reflect"
@@ -77,18 +78,21 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// A future (unknown) version tag must be rejected outright — decoding a v2
-// blob with v1 field layout would corrupt a recovery silently.
+// Any version tag but this build's must be rejected outright — decoding a
+// blob of another version with this field layout would corrupt a recovery
+// silently. Version 1 still carried the program/texture tables.
 func TestCheckpointCodecVersionRejected(t *testing.T) {
 	blob := testCheckpointBlob(t)
-	// Bump the version field (right after the 4-byte magic) and re-seal the
-	// CRC so only the version differs from a valid blob.
-	mut := append([]byte(nil), blob...)
-	mut[4]++
-	body := mut[:len(mut)-4]
-	reseal := wire.AppendU32(body[:len(body):len(body)], crc.Checksum(body))
-	if _, err := DecodeCheckpoint(reseal); !errors.Is(err, ErrCheckpointFormat) {
-		t.Fatalf("future version decoded: err = %v, want ErrCheckpointFormat", err)
+	for _, v := range []uint16{1, ckptVersion + 1} {
+		// Rewrite the version field (right after the 4-byte magic) and
+		// re-seal the CRC so only the version differs from a valid blob.
+		mut := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint16(mut[4:], v)
+		body := mut[:len(mut)-4]
+		reseal := wire.AppendU32(body[:len(body):len(body)], crc.Checksum(body))
+		if _, err := DecodeCheckpoint(reseal); !errors.Is(err, ErrCheckpointFormat) {
+			t.Fatalf("version %d decoded: err = %v, want ErrCheckpointFormat", v, err)
+		}
 	}
 }
 
@@ -163,13 +167,13 @@ func testCheckpointBlob(t *testing.T) []byte {
 }
 
 // The checkpoint encoding is a stored format: resvc's durable store keeps
-// checkpoints across restarts and upgrades. This pins its bytes for a run
-// whose program table has upload-created gaps (IDs 2 and 3 never filled),
-// so a change to how the simulator holds programs cannot alter what it
+// checkpoints across restarts and upgrades. This pins the version-2 bytes
+// for a memo run with an upload before the checkpoint, which the blob must
+// not carry, so a change to what the simulator holds cannot alter what it
 // writes or what it must read back. (The body ends in its own raw-CRC seal,
 // so the pin uses the conditioned IEEE checksum, which does not cancel it.)
 func TestCheckpointCodecBytesPinned(t *testing.T) {
-	const wantLen, wantCRC = 478138, 0xb9e4ff26
+	const wantLen, wantCRC = 472954, 0x08bcea19
 	tr := staticTrace(4)
 	up := api.UploadProgram{ID: 4, Program: shader.LambertTexFS()}
 	tr.Frames[1].Commands = append([]api.Command{up}, tr.Frames[1].Commands...)

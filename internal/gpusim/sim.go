@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"rendelim/internal/api"
 	"rendelim/internal/cache"
@@ -37,11 +38,9 @@ type triRec struct {
 	draw int
 }
 
-// progSlot is one program ID's entry: the program as uploaded (what
-// checkpoints carry), its decoded code (what both VMs run) and its read
-// masks (what the memo hash covers).
+// progSlot is one program ID's entry: its decoded code (what both VMs run)
+// and its read masks (what the memo hash covers).
 type progSlot struct {
-	prog   *shader.Program
 	code   shader.Code
 	in     uint16
 	consts uint32
@@ -51,7 +50,7 @@ type progSlot struct {
 // warmed upload allocates nothing. A nil p (an ID no upload has filled)
 // leaves the slot empty.
 func (sl *progSlot) set(p *shader.Program) {
-	sl.prog, sl.code = p, sl.code[:0]
+	sl.code = sl.code[:0]
 	if p != nil {
 		sl.code = p.Decode(sl.code)
 	}
@@ -93,8 +92,13 @@ type Simulator struct {
 	tilecache *cache.Cache
 	l2        *cache.Cache
 
-	programs []progSlot // by program ID
-	textures []*texture.Texture
+	// The program and texture tables, by ID: the trace's registries
+	// overlaid with the uploads executed so far. regTextures holds the
+	// registry textures, synthesized once in New; textures are immutable,
+	// so both tables may share them.
+	programs    []progSlot
+	textures    []*texture.Texture
+	regTextures []*texture.Texture
 
 	vsExec shader.Exec
 
@@ -155,24 +159,17 @@ func New(trace *api.Trace, cfg Config) (*Simulator, error) {
 	s.teBuf = sig.NewBuffer(s.fbuf.NumTiles())
 	s.memo = newMemoState(s.fbuf.NumTiles(), cfg.MemoLUTEntries)
 
-	s.loadPrograms(trace.Programs)
-	s.textures = make([]*texture.Texture, len(trace.Textures))
+	s.regTextures = make([]*texture.Texture, len(trace.Textures))
 	for i, spec := range trace.Textures {
-		s.textures[i] = spec.Build(i)
-		s.textures[i].Base = addrTexBase + uint64(i)<<24
+		s.regTextures[i] = spec.Build(i)
+		s.regTextures[i].Base = addrTexBase + uint64(i)<<24
 	}
+	s.resetTables()
 	s.clearColor = texture.PackColor(trace.ClearColor)
 	s.skipCounts = make([]uint32, s.fbuf.NumTiles())
 
-	// Resolve the tile-worker count: <0 means one worker per host CPU, 0 and
-	// 1 mean serial. Worker state persists across frames.
-	nw := cfg.TileWorkers
-	if nw < 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw < 1 {
-		nw = 1
-	}
+	// Worker state persists across frames.
+	nw := TileWorkerCount(cfg.TileWorkers)
 	s.tileWorkers = nw
 	s.workers = make([]*rasterWorker, nw)
 	for i := range s.workers {
@@ -184,6 +181,16 @@ func New(trace *api.Trace, cfg Config) (*Simulator, error) {
 		s.tr = cfg.Tracer.Thread("sim " + trace.Name + " [" + cfg.Technique.String() + "]")
 	}
 	return s, nil
+}
+
+// TileWorkerCount resolves a Config.TileWorkers value to the number of
+// raster workers a simulator runs: negative means one per host CPU
+// (runtime.GOMAXPROCS), and 0 and 1 both mean serial.
+func TileWorkerCount(n int) int {
+	if n < 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return max(n, 1)
 }
 
 // SetTracer (re)binds the simulator to a trace sink, opening a new track.
@@ -315,36 +322,15 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 		switch c := cmd.(type) {
 		case api.Draw:
 			s.processDraw(c, st, &geo)
-		case api.UploadProgram:
-			s.state.Apply(cmd)
-			for int(c.ID) >= len(s.programs) {
-				// The table persists across frames and grows once to the
-				// trace's program-ID high-water mark.
-				//re:arena
-				s.programs = append(s.programs, progSlot{})
-			}
-			s.programs[c.ID].set(c.Program)
-		case api.UploadTexture:
-			s.state.Apply(cmd)
-			for int(c.ID) >= len(s.textures) {
-				// Persists across frames; grows once per new texture ID.
-				//re:arena
-				s.textures = append(s.textures, nil)
-			}
-			t := c.Spec.Build(int(c.ID))
-			t.Base = addrTexBase + uint64(c.ID)<<24
-			s.textures[c.ID] = t
+			continue
 		case api.SetRenderTargets:
-			s.state.Apply(cmd)
 			if c.N > 1 {
 				mrt = true
 			}
 		case api.SetUniforms:
-			s.state.Apply(cmd)
 			s.arena.pendingConsts = api.AppendUniformRecord(s.arena.pendingConsts, c)
-		default:
-			s.state.Apply(cmd)
 		}
+		s.apply(cmd)
 	}
 
 	// RE disable rules (Section III-E): shader/texture uploads invalidate
@@ -433,6 +419,46 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 	s.frameIdx++
 	s.frame = nil
 	return *st
+}
+
+// apply folds one non-draw command into the API state and, for uploads,
+// into the program and texture tables. It is the only code that mutates
+// those tables after New: RunFrame calls it for every command it executes,
+// and Resume replays the trace's earlier frames through it.
+//
+//re:hotpath
+func (s *Simulator) apply(cmd api.Command) {
+	s.state.Apply(cmd)
+	switch c := cmd.(type) {
+	case api.UploadProgram:
+		for int(c.ID) >= len(s.programs) {
+			// The table persists across frames and grows once to the
+			// trace's program-ID high-water mark.
+			//re:arena
+			s.programs = append(s.programs, progSlot{})
+		}
+		s.programs[c.ID].set(c.Program)
+	case api.UploadTexture:
+		for int(c.ID) >= len(s.textures) {
+			// Persists across frames; grows once per new texture ID.
+			//re:arena
+			s.textures = append(s.textures, nil)
+		}
+		t := c.Spec.Build(int(c.ID))
+		t.Base = addrTexBase + uint64(c.ID)<<24
+		s.textures[c.ID] = t
+	}
+}
+
+// resetTables sets the program and texture tables back to the trace's
+// registries, reusing every program slot's decode storage.
+func (s *Simulator) resetTables() {
+	progs := s.trace.Programs
+	s.programs = slices.Grow(s.programs[:0], len(progs))[:len(progs)]
+	for i, p := range progs {
+		s.programs[i].set(p)
+	}
+	s.textures = append(s.textures[:0], s.regTextures...)
 }
 
 // accessExtra performs a cache access and returns the latency beyond the

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"io/fs"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"rendelim/internal/crc"
 	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
 	"rendelim/internal/store"
@@ -208,6 +210,77 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 	// than the trace length proves the checkpoint was actually used.
 	if n := p2.Metrics().FramesSimulated.Load(); n >= uint64(params.Frames) {
 		t.Fatalf("restarted pool simulated %d frames; resume saved nothing", n)
+	}
+}
+
+// TestCrashRecoveryRestartsOldCheckpointFormat: a checkpoint persisted by a
+// build that wrote format version 1 no longer decodes, so the recovered job
+// restarts from frame 0 — and still returns exactly the uninterrupted result.
+func TestCrashRecoveryRestartsOldCheckpointFormat(t *testing.T) {
+	spec := Spec{Alias: "ccs", Params: chaosParams, Tech: gpusim.RE}
+	want, err := DefaultRun(context.Background(), spec, func(string, time.Duration) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A real checkpoint after frame 1, relabelled version 1 and resealed so
+	// only the version tag is wrong.
+	b, err := workload.ByAlias(spec.Alias)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := b.Build(spec.Params)
+	cfg := gpusim.DefaultConfig()
+	cfg.Technique = spec.Tech
+	sim, err := gpusim.New(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := sim.RunFrame(&tr.Frames[0])
+	blob := sim.Checkpoint().EncodeBinary()
+	binary.LittleEndian.PutUint16(blob[len("RECK"):], 1)
+	body := blob[:len(blob)-4]
+	blob = binary.LittleEndian.AppendUint32(body, crc.Checksum(body))
+
+	dir := t.TempDir()
+	st := openTestStore(t, dir, nil)
+	key := spec.Key().String()
+	rec := store.JobSpec{Alias: spec.Alias, Width: chaosParams.Width, Height: chaosParams.Height,
+		Frames: chaosParams.Frames, Seed: chaosParams.Seed, Tech: spec.Tech.String()}
+	if err := st.RecordSubmitted(key, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.RecordStarted(key); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveCheckpoint(key, 1, []gpusim.Stats{first}, blob); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2 := openTestStore(t, dir, nil)
+	defer st2.Close()
+	if n := st2.Metrics().CheckpointsRecovered.Load(); n != 1 {
+		t.Fatalf("CheckpointsRecovered = %d, want 1", n)
+	}
+	p := NewPool(WithWorkers(1), WithStore(st2), WithLogger(quietLogger()))
+	defer p.Close(context.Background())
+	j, err := p.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("recovered job failed: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) || got.FBCRC != want.FBCRC {
+		t.Fatalf("recovered result (FBCRC %08x) differs from DefaultRun (FBCRC %08x)", got.FBCRC, want.FBCRC)
+	}
+	if n := p.Metrics().Resumed.Load(); n != 0 {
+		t.Fatalf("Resumed = %d, want 0: a version-1 checkpoint must not be resumed", n)
+	}
+	if n := p.Metrics().FramesSimulated.Load(); n != uint64(chaosParams.Frames) {
+		t.Fatalf("FramesSimulated = %d, want %d (a restart from frame 0)", n, chaosParams.Frames)
 	}
 }
 

@@ -292,7 +292,7 @@ func NewPool(opt ...Option) *Pool {
 	if opts.Workers <= 0 {
 		// Share the host between the job pool and each job's tile workers:
 		// Workers * TileWorkers ≈ GOMAXPROCS.
-		opts.Workers = runtime.GOMAXPROCS(0) / opts.effectiveTileWorkers()
+		opts.Workers = runtime.GOMAXPROCS(0) / gpusim.TileWorkerCount(opts.TileWorkers)
 		if opts.Workers < 1 {
 			opts.Workers = 1
 		}
@@ -646,6 +646,18 @@ func (p *Pool) finishFailed(j *Job, err error) {
 	p.mu.Lock()
 	p.flight.forget(j.Key)
 	p.mu.Unlock()
+	p.recordFailure(j, err)
+	j.resume = nil
+	j.call.finish(gpusim.Result{}, err)
+	if j.call.cancel != nil {
+		j.call.cancel()
+	}
+}
+
+// recordFailure is the bookkeeping of every terminal failure: the circuit
+// breaker counts it unless it is transient or a cancellation, the Failed
+// counter rises, and the WAL closes the job's recovery window.
+func (p *Pool) recordFailure(j *Job, err error) {
 	if p.brk != nil && !IsTransient(err) && !errors.Is(err, context.Canceled) {
 		if p.brk.onFailure(j.spec.breakerKey()) {
 			p.journal.Record("breaker.open", "circuit opened after repeated failures", "benchmark", j.spec.breakerKey())
@@ -653,11 +665,6 @@ func (p *Pool) finishFailed(j *Job, err error) {
 	}
 	p.metrics.Failed.Add(1)
 	p.persistFailure(j, err)
-	j.resume = nil
-	j.call.finish(gpusim.Result{}, err)
-	if j.call.cancel != nil {
-		j.call.cancel()
-	}
 }
 
 func (p *Pool) execute(j *Job) {
@@ -695,13 +702,7 @@ func (p *Pool) execute(j *Job) {
 			"frames", len(res.Frames), "tiles_skipped", res.Total.TilesSkipped,
 			"duration", time.Since(start))
 	} else {
-		if p.brk != nil && !IsTransient(err) && !errors.Is(err, context.Canceled) {
-			if p.brk.onFailure(j.spec.breakerKey()) {
-				p.journal.Record("breaker.open", "circuit opened after repeated failures", "benchmark", j.spec.breakerKey())
-			}
-		}
-		p.metrics.Failed.Add(1)
-		p.persistFailure(j, err)
+		p.recordFailure(j, err)
 		p.log.Warn("job failed", "id", j.ID, "key", j.Key.String(),
 			"duration", time.Since(start), "err", err)
 	}

@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"log/slog"
-	"runtime"
 	"time"
 
 	"rendelim/internal/fault"
@@ -34,18 +33,6 @@ type options struct {
 	Journal            *obs.Journal
 	Store              *store.Store
 	TileWorkers        int
-}
-
-// effectiveTileWorkers resolves the TileWorkers option the way gpusim does.
-func (o options) effectiveTileWorkers() int {
-	tw := o.TileWorkers
-	if tw < 0 {
-		tw = runtime.GOMAXPROCS(0)
-	}
-	if tw < 1 {
-		tw = 1
-	}
-	return tw
 }
 
 // WithWorkers sets the number of concurrent simulations. Zero or negative

@@ -118,10 +118,10 @@ type Store struct {
 	log     *slog.Logger
 	metrics *Metrics
 
-	mu  sync.Mutex // serializes WAL appends and close
+	mu  sync.Mutex // serializes WAL appends, close and the recovery handover
 	wal *wal
 
-	recovered Recovery
+	recovered Recovery // what Open rebuilt, until Recovered hands it over
 }
 
 // Open opens (creating if needed) the data directory, replays the WAL,
@@ -266,9 +266,17 @@ func (s *Store) Dir() string { return s.dir }
 // Metrics exposes the store counters.
 func (s *Store) Metrics() *Metrics { return s.metrics }
 
-// Recovered returns what Open reconstructed. The caller owns the value;
-// the store never mutates it after Open.
-func (s *Store) Recovered() Recovery { return s.recovered }
+// Recovered hands over what Open reconstructed, once: the first call
+// returns it and drops the store's reference, so recovered results and
+// checkpoint blobs stay alive only as long as the caller keeps them. Every
+// later call returns an empty Recovery.
+func (s *Store) Recovered() Recovery {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec := s.recovered
+	s.recovered = Recovery{}
+	return rec
+}
 
 // Close releases the WAL handle. Every append was already fsynced.
 func (s *Store) Close() error {

@@ -108,6 +108,11 @@ func TestStoreRecovery(t *testing.T) {
 	if m.TornTailTruncations.Load() != 0 || m.SnapshotsQuarantined.Load() != 0 {
 		t.Fatal("clean recovery reported damage")
 	}
+
+	// The recovery set is handed over once; the store keeps no reference.
+	if again := r.Recovered(); !reflect.DeepEqual(again, Recovery{}) {
+		t.Fatalf("second Recovered() = %d results, %d pending; want an empty Recovery", len(again.Results), len(again.Pending))
+	}
 }
 
 // SaveResult removes the superseded checkpoint, and a completed job beats
